@@ -3,22 +3,21 @@
 Builds the prior feature planes from a sparse pilot image, runs the
 closed-form kernel recursion, and looks at what the Gram matrix encodes:
 pixel energies, correlation vs. displacement, and positive
-semi-definiteness. Also exports the matrix as CSV, mirroring the
-`channel-cntk kernel-dump` subcommand.
+semi-definiteness. Also exports the estimator's kernel as CSV, mirroring
+the `channel-cntk kernel-dump` subcommand.
 """
 
 import numpy as np
 
 from channel_cntk import (
     NoiseSpec,
-    build_estimation_prior,
     build_prior,
     compute_cntk,
     default_profile,
+    estimation_kernel,
     generate_channel,
     ls_estimate,
     make_qpsk_grid,
-    normalize_kernel,
     preset_pattern,
     transmit,
 )
@@ -33,7 +32,7 @@ sparse = ls_estimate(rx, tx, pattern)
 
 prior = build_prior(sparse)
 print(f"plain prior: {prior.n_channels} planes "
-      f"(re, im, mask, row coord, col coord), value scale {prior.scale:.3f}")
+      f"(re, im, mask, row coord, col coord)")
 
 kernel = compute_cntk(prior)
 P = M * N
@@ -43,8 +42,9 @@ print(f"kernel: {P}x{P}, trace/P = {np.trace(kernel.gram) / P:.4f}, "
 print(f"symmetry defect: {np.abs(kernel.gram - kernel.gram.T).max():.2e}\n")
 
 # correlation against displacement from a center pixel
-est_prior = build_estimation_prior(sparse)
-norm = normalize_kernel(compute_cntk(est_prior)).gram
+# the estimator's kernel: weighted mask, coordinate and bias planes only,
+# so it is fixed by the pilot layout and ignores the pilot values
+norm = estimation_kernel(sparse).gram
 center = (M // 2) * N + N // 2
 corr_row = [norm[center, (M // 2 + d) * N + N // 2] for d in range(0, 5)]
 corr_col = [norm[center, (M // 2) * N + N // 2 + d] for d in range(0, 5)]
@@ -54,5 +54,5 @@ print("  along symbols:    ", " ".join(f"{c:.4f}" for c in corr_col))
 print("(the column axis decays faster: Doppler decorrelates time "
       "more quickly than delay spread decorrelates frequency)\n")
 
-np.savetxt("demo02_kernel.csv", kernel.gram, fmt="%.17g", delimiter=",")
+np.savetxt("demo02_kernel.csv", norm, fmt="%.17g", delimiter=",")
 print(f"wrote demo02_kernel.csv ({P}x{P}, 17 significant digits)")

@@ -39,7 +39,6 @@ from .evaluate import (
     make_method,
     nmse_db,
     run_sweep,
-    time_method,
 )
 from .grid import (
     PATTERN_PRESETS,
@@ -56,6 +55,7 @@ from .imputer import (
     SingularKernelError,
     auto_ridge,
     estimate_channel_cntk,
+    estimation_kernel,
     kernel_regress,
     split_blocks,
     stitch_blocks,
@@ -88,6 +88,7 @@ __all__ = [
     "default_profile",
     "derive_seed",
     "estimate_channel_cntk",
+    "estimation_kernel",
     "generate_channel",
     "kernel_regress",
     "knn_interpolate",
@@ -106,6 +107,5 @@ __all__ = [
     "run_sweep",
     "split_blocks",
     "stitch_blocks",
-    "time_method",
     "transmit",
 ]

@@ -29,7 +29,7 @@ from .chansim import (
     make_qpsk_grid,
     transmit,
 )
-from .cntk import CntkConfig, compute_cntk, build_prior
+from .cntk import CntkConfig
 from .evaluate import METHOD_TAGS, make_method, run_sweep
 from .grid import (
     DEFAULT_SUBCARRIER_SPACING_HZ,
@@ -41,7 +41,7 @@ from .grid import (
     make_pilot_pattern,
     preset_pattern,
 )
-from .imputer import split_blocks
+from .imputer import estimation_kernel, split_blocks
 
 
 class CliError(Exception):
@@ -278,7 +278,7 @@ def cmd_kernel_dump(args) -> int:
     cfg = CntkConfig(depth=args.depth, filter_size=args.filter_size,
                      neg_slope=args.neg_slope, pos_slope=args.pos_slope,
                      padding=args.padding)
-    kernel = compute_cntk(build_prior(blocks[args.block]), cfg)
+    kernel = estimation_kernel(blocks[args.block], cfg)
     out_path = _resolve_out(args.out)
     np.savetxt(out_path, kernel.gram, fmt="%.17g", delimiter=",")
     P = kernel.gram.shape[0]
@@ -344,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--plot-series", help="also write x/y series text file")
     p_sweep.set_defaults(fn=cmd_sweep)
 
-    p_dump = sub.add_parser("kernel-dump", help="export one block's gram matrix as CSV")
+    p_dump = sub.add_parser("kernel-dump",
+                            help="export the unit-diagonal kernel the estimator "
+                                 "solves one block with, as CSV")
     p_dump.add_argument("--dataset", required=True)
     p_dump.add_argument("--record", type=int, default=0)
     p_dump.add_argument("--block", type=int, required=True)

@@ -15,9 +15,11 @@ and is retained for reference and tests.
 
 The input is a small stack of real feature planes built from the sparse
 pilot image. `build_prior` produces the plain 5-plane stack (values, mask,
-coordinates); `build_estimation_prior` produces the weighted 6-plane stack
-(plus a constant bias plane) the channel estimator uses, where the plane
-amplitudes set the kernel's length scales.
+coordinates); `build_estimation_prior` produces the weighted 4-plane stack
+(mask, coordinates, constant bias) the channel estimator uses, where the
+plane amplitudes set the kernel's length scales. The estimation stack
+carries no pilot values, so the estimator's kernel depends only on the
+pilot mask.
 """
 
 from __future__ import annotations
@@ -80,13 +82,12 @@ class PriorWeights:
 
     The bias plane dominates, so pairwise feature gaps (hence kernel
     correlation gaps) scale like |delta features|^2 / (2 * bias^2): the
-    coordinate weights set per-axis length scales, and the value/mask
-    weights set how strongly observed pilot structure perturbs them. The
-    column axis gets a larger weight because the channel decorrelates
-    faster across OFDM symbols (Doppler) than across subcarriers.
+    coordinate weights set per-axis length scales, and the mask weight sets
+    how strongly the pilot layout perturbs them. The column axis gets a
+    larger weight because the channel decorrelates faster across OFDM
+    symbols (Doppler) than across subcarriers.
     """
 
-    value: float = 0.03
     mask: float = 0.03
     row: float = 1.0
     col: float = 2.0
@@ -98,14 +99,13 @@ class PriorTensor:
     """Real C x M x N feature stack fed to the kernel recursion.
 
     The plain construction (`build_prior`) has C = 5 planes: pilot real and
-    imaginary values jointly scaled to combined max abs 1 (scale recorded),
-    the 0/1 pilot mask, and normalized coordinates m/(M-1), n/(N-1). The
-    estimation construction appends a constant bias plane (C = 6) and
-    weights each plane.
+    imaginary values jointly scaled to combined max abs 1, the 0/1 pilot
+    mask, and normalized coordinates m/(M-1), n/(N-1). The estimation
+    construction drops the value planes, appends a constant bias plane
+    (C = 4) and weights each plane.
     """
 
     planes: np.ndarray  # float64, shape (C, M, N)
-    scale: float
 
     def __post_init__(self):
         planes = _locked(self.planes, np.float64)
@@ -154,53 +154,44 @@ def build_prior(sparse: SparseChannelEstimate) -> PriorTensor:
     """Assemble the plain 5-plane prior for a sparse pilot image.
 
     The real/imag planes share one scale factor (their combined max absolute
-    value becomes 1); an all-zero pilot image keeps scale 1. Coordinate
+    value becomes 1); an all-zero pilot image is left unscaled. Coordinate
     planes span [0, 1], or 0 when the dimension is a single cell.
     """
     if sparse.n_pilots < 1:
         raise ValueError("prior needs at least one pilot")
     M, N = sparse.shape
-    re = sparse.values.real.copy()
-    im = sparse.values.imag.copy()
+    re = sparse.values.real
+    im = sparse.values.imag
     scale = max(np.abs(re).max(), np.abs(im).max())
     if scale == 0.0:
         scale = 1.0
-    re /= scale
-    im /= scale
     row_plane, col_plane = _coordinate_planes(M, N)
-    planes = np.stack([re, im, sparse.mask.astype(np.float64), row_plane, col_plane])
-    return PriorTensor(planes, float(scale))
+    planes = np.stack([re / scale, im / scale, sparse.mask.astype(np.float64),
+                       row_plane, col_plane])
+    return PriorTensor(planes)
 
 
 def build_estimation_prior(sparse: SparseChannelEstimate,
                            weights: PriorWeights = PriorWeights()) -> PriorTensor:
-    """Assemble the weighted 6-plane prior used by the channel estimator.
+    """Assemble the weighted 4-plane prior used by the channel estimator.
 
-    Same plane roles as `build_prior` plus a constant bias plane, with each
-    plane multiplied by its weight. Values are expected to be pre-centered
-    by the caller; the joint max-abs normalization and recorded scale work
-    as in `build_prior`.
+    Planes, each multiplied by its weight: the 0/1 pilot mask, the row and
+    column coordinates of `build_prior`, and a constant bias plane. Only the
+    pilot layout of `sparse` is read, never its values, so the kernel built
+    on this prior is fixed by the mask and the estimator is linear in the
+    pilots.
     """
     if sparse.n_pilots < 1:
         raise ValueError("prior needs at least one pilot")
     M, N = sparse.shape
-    re = sparse.values.real.copy()
-    im = sparse.values.imag.copy()
-    scale = max(np.abs(re).max(), np.abs(im).max())
-    if scale == 0.0:
-        scale = 1.0
-    re /= scale
-    im /= scale
     row_plane, col_plane = _coordinate_planes(M, N)
     planes = np.stack([
-        weights.value * re,
-        weights.value * im,
         weights.mask * sparse.mask.astype(np.float64),
         weights.row * row_plane,
         weights.col * col_plane,
         weights.bias * np.ones((M, N)),
     ])
-    return PriorTensor(planes, float(scale))
+    return PriorTensor(planes)
 
 
 def leaky_relu_duals(lam11, lam22, lam12, neg_slope: float, pos_slope: float,

@@ -1,4 +1,4 @@
-"""NMSE metric, SNR/pilot-density sweep harness, and wall-clock timing.
+"""NMSE metric and the SNR/pilot-density sweep harness.
 
 Sweep-level NMSE puts the expectation inside the log: the linear error
 ratio is averaged across realizations first, then converted to dB. A ratio
@@ -199,20 +199,3 @@ def run_sweep(methods: Sequence[str], snr_list: Sequence[float],
         out = [run_cell(c) for c in cells]
     return SweepResult(tuple(out))
 
-
-def time_method(method: str, sparse: SparseChannelEstimate, repeats: int = 5, *,
-                cntk_cfg: CntkConfig = CntkConfig(),
-                cntk_ridge: float | None = None,
-                knn_k: int = 4) -> tuple[float, float]:
-    """Wall-clock (mean_s, stddev_s) over `repeats` runs after one warm-up."""
-    if repeats < 3:
-        raise ValueError("repeats must be >= 3")
-    fn = make_method(method, cntk_cfg=cntk_cfg, cntk_ridge=cntk_ridge, knn_k=knn_k)
-    fn(sparse)  # warm-up, discarded
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn(sparse)
-        times.append(time.perf_counter() - t0)
-    arr = np.array(times)
-    return float(arr.mean()), float(arr.std(ddof=1))

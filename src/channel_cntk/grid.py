@@ -107,6 +107,8 @@ class SparseChannelEstimate:
             raise ValueError("values and mask shapes differ")
         if np.any(values[~mask] != 0):
             raise ValueError("values must be zero outside the mask")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("pilot values must be finite (no NaN/Inf)")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
 

@@ -1,15 +1,16 @@
 """Kernel ridge regression over pilot observations, blockwise over the grid.
 
 A full slot (e.g. 360 x 14) is split into non-overlapping 12 x 14 row bands;
-each band gets its own prior, kernel, and regression, and the per-band
-estimates are stitched back together.
+each band gets its own regression, and the per-band estimates are stitched
+back together.
 
-Per block the estimator centers the pilot values on their mean (so the
-regression only models deviations; constants are reproduced exactly),
-builds the weighted estimation prior, computes the coordinate kernel,
-normalizes it to unit diagonal, and solves one Cholesky factorization for
-the real and imaginary parts. Predictions are de-normalized by the prior
-scale and re-shifted by the mean. With ridge = 0 the estimator runs in
+A band's kernel is the normalized CNTK over the weighted estimation prior,
+which holds the band's pilot mask and coordinates but no pilot values. For
+a fixed mask and ridge the estimator is therefore a linear map from pilots
+to grid: the pilot values are centered on their band mean (so constants are
+reproduced exactly), regressed through one Cholesky factorization for the
+real and imaginary parts, and re-shifted by the mean. Consecutive bands with
+the same mask share one kernel build. With ridge = 0 the estimator runs in
 strict interpolation mode and observed cells keep their observed values
 verbatim; with ridge > 0 the ridge deliberately smooths observed cells too.
 """
@@ -175,6 +176,13 @@ def _regress_with_escalation(kernel: CoordinateKernel, obs_idx: np.ndarray,
     raise AssertionError("unreachable")
 
 
+def estimation_kernel(block: SparseChannelEstimate,
+                      cfg: CntkConfig = CntkConfig(),
+                      weights: PriorWeights = PriorWeights()) -> CoordinateKernel:
+    """The unit-diagonal kernel `estimate_channel_cntk` solves with for a band's mask."""
+    return normalize_kernel(compute_cntk(build_estimation_prior(block, weights), cfg))
+
+
 def estimate_channel_cntk(sparse: SparseChannelEstimate,
                           cfg: CntkConfig = CntkConfig(),
                           ridge: float | None = None,
@@ -194,22 +202,19 @@ def estimate_channel_cntk(sparse: SparseChannelEstimate,
             raise ValueError(f"block {bi} contains no pilots")
     out_blocks = []
     diags = []
+    prev_mask = None
     for bi, block in enumerate(blocks):
-        Mb, Nb = block.shape
-        obs_idx = np.flatnonzero(block.mask.reshape(Mb * Nb))
-        vals = block.values.reshape(Mb * Nb)[obs_idx]
+        if prev_mask is None or not np.array_equal(block.mask, prev_mask):
+            kernel = estimation_kernel(block, cfg, weights)
+            obs_idx = np.flatnonzero(block.mask)
+            lam = default_ridge(kernel, obs_idx) if ridge is None else ridge
+            prev_mask = block.mask
+        vals = block.values.reshape(-1)[obs_idx]
         mean = vals.mean()
-        centered = np.zeros((Mb, Nb), dtype=np.complex128)
-        centered[block.mask] = vals - mean
-        prior = build_estimation_prior(SparseChannelEstimate(centered, block.mask),
-                                       weights)
-        kernel = normalize_kernel(compute_cntk(prior, cfg))
-        lam = default_ridge(kernel, obs_idx) if ridge is None else ridge
-        y = (vals - mean) / prior.scale
         t0 = time.perf_counter()
-        flat, lam_used = _regress_with_escalation(kernel, obs_idx, y, lam)
+        flat, lam_used = _regress_with_escalation(kernel, obs_idx, vals - mean, lam)
         solve_s = time.perf_counter() - t0
-        h_block = (flat * prior.scale + mean).reshape(Mb, Nb)
+        h_block = (flat + mean).reshape(block.shape)
         if ridge == 0:
             h_block[block.mask] = block.values[block.mask]
         reg = kernel.gram[np.ix_(obs_idx, obs_idx)] + lam_used * np.eye(obs_idx.size)

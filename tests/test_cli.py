@@ -211,10 +211,10 @@ class TestKernelDump:
         out = tmp_path / "k.csv"
         assert cli.main(["kernel-dump", "--dataset", str(dataset),
                          "--block", "1", "--out", str(out)]) == 0
-        from channel_cntk import build_prior, compute_cntk, split_blocks
+        from channel_cntk import estimation_kernel, split_blocks
         from channel_cntk.cli import _sparse_from_record
         manifest, records = load_dataset(dataset)
         sparse = _sparse_from_record(records[0], manifest)
-        expect = compute_cntk(build_prior(split_blocks(sparse)[1])).gram
+        expect = estimation_kernel(split_blocks(sparse)[1]).gram
         got = np.loadtxt(out, delimiter=",")
         assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()

@@ -213,7 +213,6 @@ class TestBuildPrior:
     def test_all_zero_values_scale_one(self):
         mask = np.ones((3, 3), bool)
         prior = build_prior(SparseChannelEstimate(np.zeros((3, 3), complex), mask))
-        assert prior.scale == 1.0
         assert np.all(prior.planes[0] == 0) and np.all(prior.planes[1] == 0)
 
     def test_single_pilot_normalization(self):
@@ -221,8 +220,7 @@ class TestBuildPrior:
         mask[0, 0] = True
         vals = np.where(mask, 2.0 + 0j, 0)
         prior = build_prior(SparseChannelEstimate(vals, mask))
-        assert prior.scale == 2.0
-        assert np.array_equal(prior.planes[0], [[1, 0], [0, 0]])
+        assert np.array_equal(prior.planes[0], [[1, 0], [0, 0]])  # 2 / scale 2
         assert np.all(prior.planes[1] == 0)
 
     def test_full_mask_plane(self):
@@ -255,16 +253,17 @@ class TestBuildPrior:
 def test_build_estimation_prior_planes():
     mask = np.zeros((4, 4), bool)
     mask[::2, ::2] = True
-    vals = np.where(mask, 1.0 - 2.0j, 0)
-    w = PriorWeights(value=0.5, mask=0.25, row=2.0, col=3.0, bias=10.0)
-    prior = build_estimation_prior(SparseChannelEstimate(vals, mask), w)
-    assert prior.n_channels == 6
-    assert prior.scale == 2.0  # max |imag|
-    assert np.all(prior.planes[5] == 10.0)
-    assert abs(prior.planes[2].max() - 0.25) < 1e-12
-    assert abs(prior.planes[3].max() - 2.0) < 1e-12
-    assert abs(prior.planes[4].max() - 3.0) < 1e-12
-    assert abs(prior.planes[0][0, 0] - 0.5 * 0.5) < 1e-12  # value/scale*weight
+    w = PriorWeights(mask=0.25, row=2.0, col=3.0, bias=10.0)
+    prior = build_estimation_prior(SparseChannelEstimate(np.where(mask, 1.0 - 2.0j, 0), mask), w)
+    assert prior.n_channels == 4
+    assert np.array_equal(prior.planes[0], 0.25 * mask)
+    row_plane, col_plane = np.meshgrid(np.arange(4) / 3, np.arange(4) / 3, indexing="ij")
+    assert np.abs(prior.planes[1] - 2.0 * row_plane).max() < 1e-12
+    assert np.abs(prior.planes[2] - 3.0 * col_plane).max() < 1e-12
+    assert np.all(prior.planes[3] == 10.0)
+    # same mask, different values: identical planes
+    other = build_estimation_prior(SparseChannelEstimate(np.where(mask, -7.0 + 0.5j, 0), mask), w)
+    assert np.array_equal(other.planes, prior.planes)
 
 
 class TestComputeCntk:
@@ -272,7 +271,7 @@ class TestComputeCntk:
         # L=1, q=1, a=b=1: Theta = 2 * Sigma0
         rng = np.random.default_rng(2)
         basis = rng.standard_normal((1, 3, 3))
-        prior = PriorTensor(basis, 1.0)
+        prior = PriorTensor(basis)
         cfg = CntkConfig(depth=1, filter_size=1, neg_slope=1.0, pos_slope=1.0)
         K = compute_cntk(prior, cfg)
         A = basis.reshape(1, 9)
@@ -295,7 +294,7 @@ class TestComputeCntk:
         prior = _random_prior(rng, 6, 5)
         cfg = CntkConfig(depth=3, neg_slope=1.0, pos_slope=1.0)
         K1 = compute_cntk(prior, cfg).gram
-        scaled = PriorTensor(prior.planes * 3.0, prior.scale)
+        scaled = PriorTensor(prior.planes * 3.0)
         K2 = compute_cntk(scaled, cfg).gram
         assert np.abs(K2 - 9.0 * K1).max() <= 1e-10 * np.abs(K2).max()
 
@@ -303,13 +302,13 @@ class TestComputeCntk:
         # constant planes + extrapolation padding: every pixel pair is
         # equivalent, so the gram is a constant matrix
         planes = np.ones((2, 5, 6))
-        K = compute_cntk(PriorTensor(planes, 1.0), CntkConfig(depth=4)).gram
+        K = compute_cntk(PriorTensor(planes), CntkConfig(depth=4)).gram
         assert np.abs(K - K[0, 0]).max() <= 1e-10 * abs(K[0, 0])
 
     def test_constant_prior_zero_pad_symmetry(self):
         # zero padding keeps the grid's mirror symmetries for constant priors
         planes = np.ones((1, 4, 5))
-        K = compute_cntk(PriorTensor(planes, 1.0),
+        K = compute_cntk(PriorTensor(planes),
                          CntkConfig(depth=3, padding="zero")).gram
         M, N = 4, 5
         G = K.reshape(M, N, M, N)

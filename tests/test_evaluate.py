@@ -11,7 +11,6 @@ from channel_cntk import (
     nmse_db,
     preset_pattern,
     run_sweep,
-    time_method,
 )
 
 
@@ -129,15 +128,3 @@ def test_flat_channel_trivially_interpolable():
     for row in res.rows:
         assert row.nmse_db <= -20.0, row
 
-
-def test_time_method_contract():
-    pat = preset_pattern("dense", 12, 14)
-    rng = np.random.default_rng(3)
-    vals = np.where(pat.mask, rng.standard_normal((12, 14))
-                    + 1j * rng.standard_normal((12, 14)), 0)
-    sp = SparseChannelEstimate(vals, pat.mask)
-    mean_s, std_s = time_method("nearest", sp, repeats=3)
-    assert mean_s > 0
-    assert std_s >= 0
-    with pytest.raises(ValueError, match="repeats"):
-        time_method("nearest", sp, repeats=2)

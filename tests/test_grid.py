@@ -101,6 +101,16 @@ def test_sparse_estimate_zero_outside_mask():
     assert ok.n_pilots == 1
 
 
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 1)])
+def test_sparse_estimate_rejects_non_finite_pilots(bad):
+    mask = np.zeros((2, 3), bool)
+    mask[0, 0] = mask[1, 2] = True
+    vals = np.where(mask, 1 + 1j, 0)
+    vals[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SparseChannelEstimate(vals, mask)
+
+
 class TestLsEstimate:
     def test_division_by_one(self):
         pat = make_pilot_pattern(2, 2, 1, 1)

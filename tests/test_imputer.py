@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from channel_cntk import imputer
 from channel_cntk import (
     CoordinateKernel,
     RegressionProblem,
@@ -208,6 +209,50 @@ class TestEstimateChannel:
         for d in imp.diagnostics:
             assert d.condition >= 1.0
             assert d.solve_s >= 0.0
+
+
+def _random_pilots(rng, mask):
+    return np.where(mask, rng.standard_normal(mask.shape)
+                    + 1j * rng.standard_normal(mask.shape), 0)
+
+
+def test_estimator_is_additive_in_pilots():
+    # the kernel depends only on the mask, so at a fixed mask and ridge the
+    # estimate is a linear map of the pilot values
+    rng = np.random.default_rng(13)
+    pat = preset_pattern("dense", 24, 14)
+    y1, y2 = _random_pilots(rng, pat.mask), _random_pilots(rng, pat.mask)
+    for ridge in (None, 1e-2):
+        est1, est2, est12 = (estimate_channel_cntk(SparseChannelEstimate(y, pat.mask),
+                                                   ridge=ridge).h_hat
+                             for y in (y1, y2, y1 + y2))
+        assert np.abs(est12 - (est1 + est2)).max() <= 1e-10 * np.abs(est12).max()
+
+
+def _count_kernel_builds(monkeypatch, sparse):
+    original = imputer.compute_cntk
+    calls = []
+
+    def counting(prior, cfg):
+        calls.append(prior)
+        return original(prior, cfg)
+
+    monkeypatch.setattr(imputer, "compute_cntk", counting)
+    estimate_channel_cntk(sparse, ridge=1e-2)
+    return len(calls)
+
+
+def test_kernel_built_once_per_run_of_equal_band_masks(monkeypatch):
+    rng = np.random.default_rng(14)
+    pat = preset_pattern("dense", 360, 14)
+    dense = SparseChannelEstimate(_random_pilots(rng, pat.mask), pat.mask)
+    assert _count_kernel_builds(monkeypatch, dense) == 1
+    # bands alternate between two masks: every band needs its own build
+    other = preset_pattern("sparse", 12, 14).mask
+    mask = pat.mask.copy()
+    mask.reshape(-1, 12, 14)[1::2] = other
+    alternating = SparseChannelEstimate(_random_pilots(rng, mask), mask)
+    assert _count_kernel_builds(monkeypatch, alternating) == 30
 
 
 def test_auto_ridge_policy():
