@@ -53,8 +53,8 @@ for name, (h_hat, dt) in results.items():
     print(f"{name:>8s} {nmse_db(channel.h, h_hat):9.2f} {dt:8.3f}")
 
 worst_block = max(imputed.diagnostics, key=lambda d: d.solve_s)
-print(f"\nslowest block solve: {worst_block.solve_s * 1e3:.2f} ms "
-      f"(block {worst_block.block_index}, cond {worst_block.condition:.1f})")
+print(f"\nslowest mask-group solve: {worst_block.solve_s * 1e3:.2f} ms "
+      f"(group of block {worst_block.block_index}, cond {worst_block.condition:.1f})")
 
 try:
     import matplotlib

@@ -28,7 +28,6 @@ from .cntk import (
     build_prior,
     compute_cntk,
     leaky_relu_duals,
-    mc_dual_oracle,
     normalize_kernel,
     patch_aggregate,
 )
@@ -58,7 +57,6 @@ from .imputer import (
     estimation_kernel,
     kernel_regress,
     split_blocks,
-    stitch_blocks,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +96,6 @@ __all__ = [
     "make_method",
     "make_pilot_pattern",
     "make_qpsk_grid",
-    "mc_dual_oracle",
     "nearest_interpolate",
     "nmse_db",
     "normalize_kernel",
@@ -106,6 +103,5 @@ __all__ = [
     "preset_pattern",
     "run_sweep",
     "split_blocks",
-    "stitch_blocks",
     "transmit",
 ]

@@ -30,7 +30,6 @@ from channel_cntk import (
     linear_interpolate,
     ls_estimate,
     make_pilot_pattern,
-    mc_dual_oracle,
     nearest_interpolate,
     nmse_db,
     normalize_kernel,
@@ -40,6 +39,7 @@ from channel_cntk import (
 )
 from channel_cntk import cli
 
+from dual_oracle import mc_dual_oracle
 from ntk_finite_width import cosine_similarity, empirical_ntk
 
 SNRS = [0.0, 10.0, 20.0, 30.0]

@@ -12,10 +12,11 @@ from channel_cntk import (
     build_prior,
     compute_cntk,
     leaky_relu_duals,
-    mc_dual_oracle,
     normalize_kernel,
     patch_aggregate,
 )
+
+from dual_oracle import mc_dual_oracle
 
 
 class TestLeakyReluDuals:

@@ -14,8 +14,19 @@ from channel_cntk import (
     kernel_regress,
     preset_pattern,
     split_blocks,
-    stitch_blocks,
 )
+
+
+def _random_pilots(rng, mask):
+    return np.where(mask, rng.standard_normal(mask.shape)
+                    + 1j * rng.standard_normal(mask.shape), 0)
+
+
+def _alternating_mask(rows):
+    """Dense pilot mask whose odd 12-row bands carry the sparse pattern instead."""
+    mask = preset_pattern("dense", rows, 14).mask.copy()
+    mask.reshape(-1, 12, 14)[1::2] = preset_pattern("sparse", 12, 14).mask
+    return mask
 
 
 def _random_psd_kernel(rng, M, N, rank=None):
@@ -83,6 +94,21 @@ class TestKernelRegress:
         with pytest.raises(SingularKernelError):
             kernel_regress(RegressionProblem(K, obs, y, 0.0))
 
+    def test_columns_match_single_column_solves(self):
+        # an (n, B) problem solves every column with one factorization and
+        # gives the same bits as B separate (n,) problems
+        rng = np.random.default_rng(15)
+        K = _random_psd_kernel(rng, 4, 5)
+        obs = np.array([0, 3, 7, 11, 18], dtype=np.int64)
+        Y = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        out = kernel_regress(RegressionProblem(K, obs, Y, 1e-3))
+        assert out.shape == (20, 3)
+        for b in range(3):
+            col = kernel_regress(RegressionProblem(K, obs, Y[:, b], 1e-3))
+            assert np.array_equal(out[:, b], col)
+        with pytest.raises(ValueError):
+            RegressionProblem(K, obs, np.vstack([Y, Y[:1]]), 1e-3)
+
     def test_problem_validation(self):
         rng = np.random.default_rng(5)
         K = _random_psd_kernel(rng, 2, 2)
@@ -117,7 +143,7 @@ class TestSplitBlocks:
         vals = np.where(pat.mask, rng.standard_normal((72, 14))
                         + 1j * rng.standard_normal((72, 14)), 0)
         sp = SparseChannelEstimate(vals, pat.mask)
-        back = stitch_blocks([b.values for b in split_blocks(sp)])
+        back = np.concatenate([b.values for b in split_blocks(sp)])
         assert np.array_equal(back, vals)
 
     def test_divisibility_error(self):
@@ -178,20 +204,19 @@ class TestEstimateChannel:
         assert np.array_equal(a.h_hat, b.h_hat)
 
     def test_block_independence(self):
-        # processing blocks separately and stitching matches the pipeline
+        # processing blocks separately and stacking them matches the pipeline,
+        # also when bands that are not adjacent share a mask and one factorization
         rng = np.random.default_rng(11)
-        pat = preset_pattern("dense", 36, 14)
-        vals = np.where(pat.mask, rng.standard_normal((36, 14))
-                        + 1j * rng.standard_normal((36, 14)), 0)
-        sp = SparseChannelEstimate(vals, pat.mask)
-        whole = estimate_channel_cntk(sp, ridge=1e-3).h_hat
-        parts = [estimate_channel_cntk(b, ridge=1e-3).h_hat
-                 for b in split_blocks(sp)]
-        # reversed processing order, same stitch positions
-        parts_rev = [estimate_channel_cntk(b, ridge=1e-3).h_hat
-                     for b in reversed(split_blocks(sp))][::-1]
-        assert np.array_equal(whole, stitch_blocks(parts))
-        assert np.array_equal(whole, stitch_blocks(parts_rev))
+        for mask in (preset_pattern("dense", 36, 14).mask, _alternating_mask(360)):
+            sp = SparseChannelEstimate(_random_pilots(rng, mask), mask)
+            whole = estimate_channel_cntk(sp, ridge=1e-3).h_hat
+            parts = [estimate_channel_cntk(b, ridge=1e-3).h_hat
+                     for b in split_blocks(sp)]
+            # reversed processing order, same stacking positions
+            parts_rev = [estimate_channel_cntk(b, ridge=1e-3).h_hat
+                         for b in reversed(split_blocks(sp))][::-1]
+            assert np.array_equal(whole, np.concatenate(parts))
+            assert np.array_equal(whole, np.concatenate(parts_rev))
 
     def test_empty_block_error_names_block(self):
         mask = np.zeros((24, 14), bool)
@@ -209,11 +234,16 @@ class TestEstimateChannel:
         for d in imp.diagnostics:
             assert d.condition >= 1.0
             assert d.solve_s >= 0.0
-
-
-def _random_pilots(rng, mask):
-    return np.where(mask, rng.standard_normal(mask.shape)
-                    + 1j * rng.standard_normal(mask.shape), 0)
+        # one entry per band in band order; bands that share a mask share
+        # its ridge, condition and solve time
+        mask = _alternating_mask(48)
+        imp = estimate_channel_cntk(SparseChannelEstimate(np.where(mask, 1 + 1j, 0), mask))
+        diags = imp.diagnostics
+        assert [d.block_index for d in diags] == [0, 1, 2, 3]
+        for a, b in ((0, 2), (1, 3)):
+            assert (diags[a].ridge, diags[a].condition, diags[a].solve_s) \
+                == (diags[b].ridge, diags[b].condition, diags[b].solve_s)
+        assert diags[0].condition != diags[1].condition
 
 
 def test_estimator_is_additive_in_pilots():
@@ -229,30 +259,28 @@ def test_estimator_is_additive_in_pilots():
         assert np.abs(est12 - (est1 + est2)).max() <= 1e-10 * np.abs(est12).max()
 
 
-def _count_kernel_builds(monkeypatch, sparse):
-    original = imputer.compute_cntk
-    calls = []
-
-    def counting(prior, cfg):
-        calls.append(prior)
-        return original(prior, cfg)
-
-    monkeypatch.setattr(imputer, "compute_cntk", counting)
+def _count_calls(monkeypatch, sparse):
+    """(kernel builds, kernel_regress calls) of one estimate."""
+    counts = {"compute_cntk": 0, "kernel_regress": 0}
+    for name in counts:
+        def counting(*args, _name=name, _original=getattr(imputer, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(imputer, name, counting)
     estimate_channel_cntk(sparse, ridge=1e-2)
-    return len(calls)
+    monkeypatch.undo()
+    return counts["compute_cntk"], counts["kernel_regress"]
 
 
-def test_kernel_built_once_per_run_of_equal_band_masks(monkeypatch):
+def test_kernel_built_once_per_distinct_band_mask(monkeypatch):
     rng = np.random.default_rng(14)
     pat = preset_pattern("dense", 360, 14)
     dense = SparseChannelEstimate(_random_pilots(rng, pat.mask), pat.mask)
-    assert _count_kernel_builds(monkeypatch, dense) == 1
-    # bands alternate between two masks: every band needs its own build
-    other = preset_pattern("sparse", 12, 14).mask
-    mask = pat.mask.copy()
-    mask.reshape(-1, 12, 14)[1::2] = other
+    assert _count_calls(monkeypatch, dense) == (1, 1)
+    # bands alternate between two masks: one build and one solve per mask
+    mask = _alternating_mask(360)
     alternating = SparseChannelEstimate(_random_pilots(rng, mask), mask)
-    assert _count_kernel_builds(monkeypatch, alternating) == 30
+    assert _count_calls(monkeypatch, alternating) == (2, 2)
 
 
 def test_auto_ridge_policy():
