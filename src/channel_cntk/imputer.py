@@ -7,9 +7,13 @@ A band's kernel is the normalized CNTK over the weighted estimation prior,
 which holds the band's pilot mask and coordinates but no pilot values. For
 a fixed mask and ridge the estimator is therefore a linear map from pilots
 to grid, so the unit of work is a distinct band mask: its bands share one
-kernel build, ridge choice, Cholesky factorization and `kernel_regress`
-call (each band's centered pilots are one column), and `solve_s` in their
-diagnostics is that group's factor-and-solve time. Centering on the band's
+kernel, ridge choice, Cholesky factorization and `kernel_regress` call
+(each band's centered pilots are one column), and `solve_s` in their
+diagnostics is that group's factor-and-solve time. The kernel is cached per
+process, keyed on the band mask, `CntkConfig` and `PriorWeights`, in a
+bounded cache of KERNEL_CACHE_SIZE entries, so a receiver with a fixed
+pilot layout builds it once; the ridge choice, factorization and condition
+estimate are made on every call. Centering on the band's
 pilot mean reproduces constants exactly. With ridge = 0 the estimator runs
 in strict interpolation mode and observed cells keep their observed values
 verbatim; with ridge > 0 the ridge deliberately smooths observed cells too.
@@ -17,12 +21,14 @@ verbatim; with ridge > 0 the ridge deliberately smooths observed cells too.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .cntk import (
     CntkConfig,
@@ -41,6 +47,12 @@ DEFAULT_RIDGE_REL = 1e-8
 LADDER_BASE_REL = 1e-10
 LADDER_FACTOR = 10.0
 LADDER_MAX_RETRIES = 6
+
+#: Kernels kept across calls. Real callers alternate between at most 2 band
+#: masks (`run_sweep` over the dense and sparse presets); each resident
+#: 12 x 14 kernel costs ~0.2 MB, and keeping all 30 of a slot whose band
+#: masks all differ cost +9.5% of peak RSS.
+KERNEL_CACHE_SIZE = 4
 
 
 class SingularKernelError(ValueError):
@@ -62,6 +74,8 @@ class RegressionProblem:
         P = self.kernel.gram.shape[0]
         if idx.ndim != 1 or idx.size < 1 or vals.ndim > 2 or vals.shape[:1] != idx.shape:
             raise ValueError("observed_vals must be (n,) or (n, B) over a non-empty observed_idx")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("observed_vals must be finite (no NaN/Inf)")
         if np.any(idx < 0) or np.any(idx >= P) or np.any(np.diff(idx) <= 0):
             raise ValueError("observed_idx must be strictly increasing within [0, P)")
         if self.ridge < 0:
@@ -115,8 +129,15 @@ def kernel_regress(problem: RegressionProblem) -> np.ndarray:
     # Two right-hand sides per solve, as for one band: OpenBLAS multithreads a
     # many-column triangular solve, and on 2 cores waking its threads took
     # ~15 ms, against ~1 ms for the 30 two-column solves of a dense slot.
-    out = np.stack([k_ao @ cho_solve(factor, np.column_stack([col.real, col.imag]))
-                    for col in problem.observed_vals.reshape(obs.size, -1).T], axis=1)
+    # dpotrs is the LAPACK routine cho_solve calls, without cho_solve's ~10 us
+    # of per-call checks; the values were checked finite in RegressionProblem.
+    cols = []
+    for col in problem.observed_vals.reshape(obs.size, -1).T:
+        x, info = dpotrs(factor[0], np.column_stack([col.real, col.imag]), lower=factor[1])
+        if info != 0:
+            raise ValueError(f"dpotrs: illegal value in argument {-info}")
+        cols.append(k_ao @ x)
+    out = np.stack(cols, axis=1)
     return (out[..., 0] + 1j * out[..., 1]).reshape((-1,) + problem.observed_vals.shape[1:])
 
 
@@ -176,11 +197,30 @@ def _regress_with_escalation(kernel: CoordinateKernel, obs_idx: np.ndarray,
     raise AssertionError("unreachable")
 
 
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _mask_kernel(shape: tuple[int, int], mask_bytes: bytes,
+                 cfg: CntkConfig, weights: PriorWeights) -> CoordinateKernel:
+    """The estimation kernel of a band mask given as C-ordered bool bytes; cached.
+
+    The kernel reads only the mask, so the band is built with zero values.
+    The stages are looked up in this module at call time, where tests and
+    the benchmark's tracer replace them.
+    """
+    mask = np.frombuffer(mask_bytes, dtype=bool).reshape(shape)
+    block = SparseChannelEstimate(np.zeros(shape, np.complex128), mask)
+    return normalize_kernel(compute_cntk(build_estimation_prior(block, weights), cfg))
+
+
 def estimation_kernel(block: SparseChannelEstimate,
                       cfg: CntkConfig = CntkConfig(),
                       weights: PriorWeights = PriorWeights()) -> CoordinateKernel:
-    """The unit-diagonal kernel `estimate_channel_cntk` solves with for a band's mask."""
-    return normalize_kernel(compute_cntk(build_estimation_prior(block, weights), cfg))
+    """The unit-diagonal kernel `estimate_channel_cntk` solves with for a band's mask.
+
+    It comes from the same per-process cache, keyed on the mask, `cfg` and
+    `weights`, holding at most KERNEL_CACHE_SIZE kernels (read-only, so
+    callers share them).
+    """
+    return _mask_kernel(block.shape, block.mask.tobytes(), cfg, weights)
 
 
 def estimate_channel_cntk(sparse: SparseChannelEstimate,
@@ -196,18 +236,23 @@ def estimate_channel_cntk(sparse: SparseChannelEstimate,
       > 0   -> ridge smoothing of all cells; see `auto_ridge` for the
                noise-matched choice when the operating SNR is known.
     """
-    blocks = split_blocks(sparse, block_rows)
+    M, N = sparse.shape
+    if block_rows < 1 or M % block_rows != 0:
+        raise ValueError(f"row count {M} is not divisible by block_rows {block_rows}")
+    bands = M // block_rows
+    masks = sparse.mask.reshape(bands, -1)
+    empty = np.flatnonzero(~masks.any(axis=1))
+    if empty.size:
+        raise ValueError(f"block {empty[0]} contains no pilots")
     groups = {}  # mask bytes -> bands with that mask; np.unique(axis=0) costs ~1 ms
-    for bi, block in enumerate(blocks):
-        if block.n_pilots < 1:
-            raise ValueError(f"block {bi} contains no pilots")
-        groups.setdefault(block.mask.tobytes(), []).append(bi)
-    values = sparse.values.reshape(len(blocks), -1)
+    for bi in range(bands):
+        groups.setdefault(masks[bi].tobytes(), []).append(bi)
+    values = sparse.values.reshape(bands, -1)
     out = np.empty(values.shape, np.complex128)
-    diags = [None] * len(blocks)
-    for members in groups.values():
-        kernel = estimation_kernel(blocks[members[0]], cfg, weights)
-        obs_idx = np.flatnonzero(blocks[members[0]].mask)
+    diags = [None] * bands
+    for key, members in groups.items():
+        kernel = _mask_kernel((block_rows, N), key, cfg, weights)
+        obs_idx = np.flatnonzero(masks[members[0]])
         lam = default_ridge(kernel, obs_idx) if ridge is None else ridge
         vals = values[np.ix_(members, obs_idx)]  # C order: each band mean sums as alone
         mean = vals.mean(axis=1, keepdims=True)

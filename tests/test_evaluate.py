@@ -1,10 +1,12 @@
 """Tests for the NMSE metric and the sweep harness."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from channel_cntk import imputer
 from channel_cntk import (
     SparseChannelEstimate,
     make_method,
@@ -77,11 +79,18 @@ class TestRunSweep:
         assert a.to_csv() == b.to_csv()
 
     def test_thread_count_invariance(self):
+        # cntk's threads share the process-wide kernel cache: start them on an
+        # empty one and switch threads often, so they race to fill it
         kw = dict(rows=24, cols=14, measure_time=False)
-        a = run_sweep(["nearest", "knn"], [0.0, 20.0], ["dense", "sparse"], 2, 3,
-                      n_threads=1, **kw)
-        b = run_sweep(["nearest", "knn"], [0.0, 20.0], ["dense", "sparse"], 2, 3,
-                      n_threads=3, **kw)
+        methods = ["nearest", "knn", "cntk"]
+        a = run_sweep(methods, [0.0, 20.0], ["dense", "sparse"], 2, 3, n_threads=1, **kw)
+        imputer._mask_kernel.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            b = run_sweep(methods, [0.0, 20.0], ["dense", "sparse"], 2, 3, n_threads=3, **kw)
+        finally:
+            sys.setswitchinterval(interval)
         assert a.to_csv() == b.to_csv()
 
     def test_methods_share_realizations(self):

@@ -5,7 +5,9 @@ import pytest
 
 from channel_cntk import imputer
 from channel_cntk import (
+    CntkConfig,
     CoordinateKernel,
+    PriorWeights,
     RegressionProblem,
     SingularKernelError,
     SparseChannelEstimate,
@@ -120,6 +122,8 @@ class TestKernelRegress:
             RegressionProblem(K, np.array([0, 1]), np.array([1j, 2j]), -1.0)
         with pytest.raises(ValueError):
             RegressionProblem(K, np.array([], dtype=np.int64), np.array([]), 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            RegressionProblem(K, np.array([0, 1]), np.array([np.nan, 2j]), 0.0)
 
 
 class TestSplitBlocks:
@@ -259,8 +263,11 @@ def test_estimator_is_additive_in_pilots():
         assert np.abs(est12 - (est1 + est2)).max() <= 1e-10 * np.abs(est12).max()
 
 
-def _count_calls(monkeypatch, sparse):
-    """(kernel builds, kernel_regress calls) of one estimate."""
+def _count_calls(monkeypatch, sparse, clear=True):
+    """(kernel builds, kernel_regress calls) of one estimate, from an empty
+    kernel cache unless clear=False."""
+    if clear:
+        imputer._mask_kernel.cache_clear()
     counts = {"compute_cntk": 0, "kernel_regress": 0}
     for name in counts:
         def counting(*args, _name=name, _original=getattr(imputer, name)):
@@ -277,10 +284,36 @@ def test_kernel_built_once_per_distinct_band_mask(monkeypatch):
     pat = preset_pattern("dense", 360, 14)
     dense = SparseChannelEstimate(_random_pilots(rng, pat.mask), pat.mask)
     assert _count_calls(monkeypatch, dense) == (1, 1)
+    # the kernel outlives the call: the next slot with the same mask builds none
+    again = SparseChannelEstimate(_random_pilots(rng, pat.mask), pat.mask)
+    assert _count_calls(monkeypatch, again, clear=False) == (0, 1)
     # bands alternate between two masks: one build and one solve per mask
     mask = _alternating_mask(360)
     alternating = SparseChannelEstimate(_random_pilots(rng, mask), mask)
     assert _count_calls(monkeypatch, alternating) == (2, 2)
+
+
+def test_kernel_cache_hit_equals_cold_call():
+    # a warm cache never changes an estimate: after a default call, a changed
+    # config, prior weights or ridge gives the bits of a call made on an empty
+    # cache, and a changed config or weights builds its own kernels
+    rng = np.random.default_rng(16)
+    mask = _alternating_mask(48)
+    sparse = SparseChannelEstimate(_random_pilots(rng, mask), mask)
+    cache = imputer._mask_kernel
+    for kwargs, builds in ((dict(cfg=CntkConfig(depth=4)), 2),
+                           (dict(weights=PriorWeights(mask=0.3)), 2),
+                           (dict(ridge=auto_ridge(10.0)), 0)):
+        cache.cache_clear()
+        cold = estimate_channel_cntk(sparse, **kwargs)
+        cache.cache_clear()
+        estimate_channel_cntk(sparse)
+        misses = cache.cache_info().misses
+        warm = estimate_channel_cntk(sparse, **kwargs)
+        assert cache.cache_info().misses - misses == builds
+        assert np.array_equal(warm.h_hat, cold.h_hat)
+        assert [(d.ridge, d.condition) for d in warm.diagnostics] \
+            == [(d.ridge, d.condition) for d in cold.diagnostics]
 
 
 def test_auto_ridge_policy():
