@@ -44,7 +44,7 @@ print(f"symmetry defect: {np.abs(kernel.gram - kernel.gram.T).max():.2e}\n")
 # correlation against displacement from a center pixel
 # the estimator's kernel: weighted mask, coordinate and bias planes only,
 # so it is fixed by the pilot layout and ignores the pilot values
-norm = estimation_kernel(sparse).gram
+norm = estimation_kernel(sparse, 0).gram
 center = (M // 2) * N + N // 2
 corr_row = [norm[center, (M // 2 + d) * N + N // 2] for d in range(0, 5)]
 corr_col = [norm[center, (M // 2) * N + N // 2 + d] for d in range(0, 5)]

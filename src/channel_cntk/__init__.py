@@ -56,7 +56,6 @@ from .imputer import (
     estimate_channel_cntk,
     estimation_kernel,
     kernel_regress,
-    split_blocks,
 )
 
 __version__ = "0.1.0"
@@ -102,6 +101,5 @@ __all__ = [
     "patch_aggregate",
     "preset_pattern",
     "run_sweep",
-    "split_blocks",
     "transmit",
 ]

@@ -126,9 +126,6 @@ class ChannelRealization:
     def shape(self) -> tuple[int, int]:
         return self.h.shape
 
-    def as_grid(self) -> ResourceGrid:
-        return ResourceGrid(self.h, self.subcarrier_spacing_hz, self.symbol_duration_s)
-
 
 def tdl_response(gains: np.ndarray, delays_s: np.ndarray, dopplers_hz: np.ndarray,
                  M: int, N: int, subcarrier_spacing_hz: float,

@@ -10,6 +10,7 @@ config; exit code 0 iff no error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from .chansim import (
     make_qpsk_grid,
     transmit,
 )
-from .cntk import CntkConfig
+from .cntk import PADDING_MODES, CntkConfig
 from .evaluate import METHOD_TAGS, make_method, run_sweep
 from .grid import (
     DEFAULT_SUBCARRIER_SPACING_HZ,
@@ -41,7 +42,7 @@ from .grid import (
     make_pilot_pattern,
     preset_pattern,
 )
-from .imputer import estimation_kernel, split_blocks
+from .imputer import estimation_kernel
 
 
 class CliError(Exception):
@@ -99,6 +100,9 @@ def _pattern_from_config(spec, rows: int, cols: int) -> tuple[PilotPattern, dict
         pattern = preset_pattern(spec, rows, cols)
         desc = {"preset": spec}
     elif isinstance(spec, dict):
+        for name in ("sc_spacing", "sym_spacing"):
+            if name not in spec:
+                raise CliError(f"pattern object is missing required field {name!r}")
         pattern = make_pilot_pattern(rows, cols,
                                      int(spec["sc_spacing"]), int(spec["sym_spacing"]),
                                      int(spec.get("sc_offset", 0)),
@@ -111,12 +115,18 @@ def _pattern_from_config(spec, rows: int, cols: int) -> tuple[PilotPattern, dict
     return pattern, desc
 
 
-def _cntk_cfg_from(cfg: dict) -> CntkConfig:
-    return CntkConfig(depth=int(cfg.get("depth", 8)),
-                      filter_size=int(cfg.get("filter_size", 3)),
-                      neg_slope=float(cfg.get("neg_slope", 0.05)),
-                      pos_slope=float(cfg.get("pos_slope", 1.0)),
-                      padding=cfg.get("padding", "extrapolate"))
+def _cntk_cfg_from(values: dict) -> CntkConfig:
+    """CntkConfig from a sweep's `cntk` block or `vars(args)`; absent fields keep its defaults."""
+    fields = {}
+    for field in dataclasses.fields(CntkConfig):
+        kind = type(field.default)
+        value = values.get(field.name, field.default)
+        try:
+            fields[field.name] = kind(value)
+        except (TypeError, ValueError):
+            raise CliError(f"cntk field {field.name!r} must be a {kind.__name__}, "
+                           f"got {value!r}") from None
+    return CntkConfig(**fields)
 
 
 def cmd_simulate(args) -> int:
@@ -179,9 +189,7 @@ def cmd_estimate(args) -> int:
     if args.method not in METHOD_TAGS:
         raise CliError(f"unknown method {args.method!r}; "
                        f"valid methods: {', '.join(METHOD_TAGS)}")
-    cntk_cfg = CntkConfig(depth=args.depth, filter_size=args.filter_size,
-                          neg_slope=args.neg_slope, pos_slope=args.pos_slope,
-                          padding=args.padding)
+    cntk_cfg = _cntk_cfg_from(vars(args))
     ridge = args.ridge
     if ridge is None and args.method == "cntk":
         # noise-matched default against the dataset's recorded SNR
@@ -237,6 +245,8 @@ def cmd_sweep(args) -> int:
     cols = int(cfg.get("cols", 14))
     measure_time = cfg.get("measure_time", True) and not args.no_timing
     cntk_block = cfg.get("cntk", {})
+    if not isinstance(cntk_block, dict):
+        raise CliError(f"config field 'cntk' must be a JSON object, got {cntk_block!r}")
     ridge = cntk_block.get("ridge", "auto")
     patterns = [_pattern_from_config(p, rows, cols)[0] for p in pattern_specs]
     threads = _thread_cap(args.threads)
@@ -272,13 +282,7 @@ def cmd_kernel_dump(args) -> int:
         raise CliError(f"record index {args.record} out of range "
                        f"[0, {len(records)})")
     sparse = _sparse_from_record(records[args.record], manifest)
-    blocks = split_blocks(sparse)
-    if not (0 <= args.block < len(blocks)):
-        raise CliError(f"block index {args.block} out of range [0, {len(blocks)})")
-    cfg = CntkConfig(depth=args.depth, filter_size=args.filter_size,
-                     neg_slope=args.neg_slope, pos_slope=args.pos_slope,
-                     padding=args.padding)
-    kernel = estimation_kernel(blocks[args.block], cfg)
+    kernel = estimation_kernel(sparse, args.block, _cntk_cfg_from(vars(args)))
     out_path = _resolve_out(args.out)
     np.savetxt(out_path, kernel.gram, fmt="%.17g", delimiter=",")
     P = kernel.gram.shape[0]
@@ -295,11 +299,15 @@ def cmd_kernel_dump(args) -> int:
 
 
 def _add_cntk_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=8, help="kernel recursion depth")
-    p.add_argument("--filter-size", type=int, default=3, help="conv filter size (odd)")
-    p.add_argument("--neg-slope", type=float, default=0.05, help="leaky-ReLU negative slope")
-    p.add_argument("--pos-slope", type=float, default=1.0, help="leaky-ReLU positive slope")
-    p.add_argument("--padding", choices=["extrapolate", "zero"], default="extrapolate",
+    d = CntkConfig()
+    p.add_argument("--depth", type=int, default=d.depth, help="kernel recursion depth")
+    p.add_argument("--filter-size", type=int, default=d.filter_size,
+                   help="conv filter size (odd)")
+    p.add_argument("--neg-slope", type=float, default=d.neg_slope,
+                   help="leaky-ReLU negative slope")
+    p.add_argument("--pos-slope", type=float, default=d.pos_slope,
+                   help="leaky-ReLU positive slope")
+    p.add_argument("--padding", choices=PADDING_MODES, default=d.padding,
                    help="patch aggregation boundary handling")
 
 
@@ -345,11 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_dump = sub.add_parser("kernel-dump",
-                            help="export the unit-diagonal kernel the estimator "
-                                 "solves one block with, as CSV")
+                            help="export, as CSV, the unit-diagonal kernel the "
+                                 "estimator solves one 12-row resource block with")
     p_dump.add_argument("--dataset", required=True)
     p_dump.add_argument("--record", type=int, default=0)
-    p_dump.add_argument("--block", type=int, required=True)
+    p_dump.add_argument("--block", type=int, required=True,
+                        help="resource block (12-row band) index, from 0")
     p_dump.add_argument("--out", required=True)
     p_dump.add_argument("--check-symmetric", action="store_true")
     _add_cntk_flags(p_dump)

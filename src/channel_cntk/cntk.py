@@ -30,11 +30,12 @@ import numpy as np
 
 from .grid import SparseChannelEstimate, _locked
 
-#: Plane count of the plain prior: re, im, mask, row coordinate, column coordinate.
-N_PRIOR_CHANNELS = 5
-
 #: Tolerance on the Cauchy-Schwarz covariance validity check.
 COV_TOL = 1e-8
+
+#: Variance floor of the activation dual: a pixel pair with
+#: lam11*lam22 < EPS_RHO^2 is treated as zero-energy.
+EPS_RHO = 1e-9
 
 PADDING_MODES = ("extrapolate", "zero")
 
@@ -46,7 +47,6 @@ class CntkConfig:
     depth: number of conv+activation layers L.
     filter_size: odd spatial extent q of each conv filter.
     neg_slope / pos_slope: leaky-ReLU slopes for negative / positive inputs.
-    eps_rho: variance floor below which a pixel is treated as zero-energy.
     padding: boundary handling of the patch aggregation, "extrapolate" or "zero".
     """
 
@@ -54,7 +54,6 @@ class CntkConfig:
     filter_size: int = 3
     neg_slope: float = 0.05
     pos_slope: float = 1.0
-    eps_rho: float = 1e-9
     padding: str = "extrapolate"
 
     def __post_init__(self):
@@ -194,8 +193,7 @@ def build_estimation_prior(sparse: SparseChannelEstimate,
     return PriorTensor(planes)
 
 
-def leaky_relu_duals(lam11, lam22, lam12, neg_slope: float, pos_slope: float,
-                     eps_rho: float = 1e-9):
+def leaky_relu_duals(lam11, lam22, lam12, neg_slope: float, pos_slope: float):
     """Gaussian dual of the leaky ReLU: (Sigma, Sigma_dot).
 
     For (u, v) zero-mean bivariate normal with covariance
@@ -208,7 +206,7 @@ def leaky_relu_duals(lam11, lam22, lam12, neg_slope: float, pos_slope: float,
         Sigma     = sqrt(lam11*lam22) * (a*b*rho + ((b-a)^2/2)*kappa1)
         Sigma_dot = a*b + ((b-a)^2/2)*kappa0
 
-    Degenerate pixels (lam11*lam22 < eps_rho^2) take the rho = 0 limit:
+    Degenerate pixels (lam11*lam22 < EPS_RHO^2) take the rho = 0 limit:
     Sigma = 0 and Sigma_dot at independent inputs. Accepts scalars or
     broadcastable arrays; raises ValueError if |lam12| exceeds
     sqrt(lam11*lam22) beyond COV_TOL.
@@ -223,7 +221,7 @@ def leaky_relu_duals(lam11, lam22, lam12, neg_slope: float, pos_slope: float,
     if np.any(np.abs(lam12) > root + COV_TOL):
         raise ValueError("invalid covariance: |lam12| exceeds sqrt(lam11*lam22)")
     a, b = neg_slope, pos_slope
-    degenerate = prod < eps_rho * eps_rho
+    degenerate = prod < EPS_RHO * EPS_RHO
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.where(degenerate, 0.0, lam12 / np.where(degenerate, 1.0, root))
     rho = np.clip(rho, -1.0, 1.0)
@@ -293,8 +291,7 @@ def compute_cntk(prior: PriorTensor, cfg: CntkConfig = CntkConfig()) -> Coordina
         theta_agg = patch_aggregate(theta, (M, N), cfg.filter_size, cfg.padding)
         # the aggregated covariance is PSD up to rounding; clip float dust
         diag = np.maximum(np.diag(cov).copy(), 0.0)
-        sigma, sigma_dot = leaky_relu_duals(diag[:, None], diag[None, :], cov,
-                                            a, b, cfg.eps_rho)
+        sigma, sigma_dot = leaky_relu_duals(diag[:, None], diag[None, :], cov, a, b)
         theta = theta_agg * sigma_dot + sigma
     gram = 0.5 * (theta + theta.T)
     if not np.all(np.isfinite(gram)):

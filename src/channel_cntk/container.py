@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ResourceGrid
-
 _DTYPE_TAGS = {"c128": np.dtype("<c16"), "b1": np.dtype(np.uint8)}
 
 MAGIC = "channel-cntk"
@@ -72,22 +70,6 @@ def read_array_record(fh) -> tuple[np.ndarray, dict]:
     else:
         arr = arr.astype(bool)
     return arr, header
-
-
-def save_grid(path, grid: ResourceGrid, **meta) -> None:
-    """Serialize a single resource grid with its spacing metadata."""
-    with open(path, "wb") as fh:
-        write_array_record(fh, grid.data, "c128",
-                           magic=MAGIC, version=FORMAT_VERSION,
-                           subcarrier_spacing_hz=grid.subcarrier_spacing_hz,
-                           symbol_duration_s=grid.symbol_duration_s, **meta)
-
-
-def load_grid(path) -> tuple[ResourceGrid, dict]:
-    with open(path, "rb") as fh:
-        arr, header = read_array_record(fh)
-    grid = ResourceGrid(arr, header["subcarrier_spacing_hz"], header["symbol_duration_s"])
-    return grid, header
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,25 @@
 """Kernel ridge regression over pilot observations, blockwise over the grid.
 
-A full slot (e.g. 360 x 14) is split into non-overlapping 12 x 14 row bands,
-and each band's estimate fills its rows of the output.
+A slot (e.g. 360 x 14) is cut into its resource blocks: non-overlapping
+bands of SUBCARRIERS_PER_RB = 12 rows, fixed by the numerology (the row
+count must be a multiple of 12), and each band's estimate fills its rows
+of the output. `_band_masks` is the one place a slot is cut into bands.
 
 A band's kernel is the normalized CNTK over the weighted estimation prior,
-which holds the band's pilot mask and coordinates but no pilot values. For
-a fixed mask and ridge the estimator is therefore a linear map from pilots
-to grid, so the unit of work is a distinct band mask: its bands share one
-kernel, ridge choice, Cholesky factorization and `kernel_regress` call
-(each band's centered pilots are one column), and `solve_s` in their
-diagnostics is that group's factor-and-solve time. The kernel is cached per
-process, keyed on the band mask, `CntkConfig` and `PriorWeights`, in a
-bounded cache of KERNEL_CACHE_SIZE entries, so a receiver with a fixed
-pilot layout builds it once; the ridge choice, factorization and condition
-estimate are made on every call. Centering on the band's
-pilot mean reproduces constants exactly. With ridge = 0 the estimator runs
-in strict interpolation mode and observed cells keep their observed values
-verbatim; with ridge > 0 the ridge deliberately smooths observed cells too.
+which holds the band's pilot mask and coordinates but no pilot values;
+`estimation_kernel(sparse, band)` returns it for one band. For a fixed mask
+and ridge the estimator is therefore a linear map from pilots to grid, so
+the unit of work is a distinct band mask: its bands share one kernel, ridge
+choice, Cholesky factorization and `kernel_regress` call (each band's
+centered pilots are one column), and `solve_s` in their diagnostics is that
+group's factor-and-solve time. The kernel is cached per process, keyed on
+the band mask, `CntkConfig` and `PriorWeights`, in a bounded cache of
+KERNEL_CACHE_SIZE entries, so a receiver with a fixed pilot layout builds
+it once; the ridge choice, factorization and condition estimate are made on
+every call. Centering on the band's pilot mean reproduces constants
+exactly. With ridge = 0 the estimator runs in strict interpolation mode and
+observed cells keep their observed values verbatim; with ridge > 0 the
+ridge deliberately smooths observed cells too.
 """
 
 from __future__ import annotations
@@ -141,20 +144,6 @@ def kernel_regress(problem: RegressionProblem) -> np.ndarray:
     return (out[..., 0] + 1j * out[..., 1]).reshape((-1,) + problem.observed_vals.shape[1:])
 
 
-def split_blocks(sparse: SparseChannelEstimate,
-                 block_rows: int = SUBCARRIERS_PER_RB) -> list[SparseChannelEstimate]:
-    """Split into non-overlapping row bands of block_rows subcarriers, in order."""
-    M, _ = sparse.shape
-    if block_rows < 1 or M % block_rows != 0:
-        raise ValueError(f"row count {M} is not divisible by block_rows {block_rows}")
-    blocks = []
-    for start in range(0, M, block_rows):
-        stop = start + block_rows
-        blocks.append(SparseChannelEstimate(sparse.values[start:stop],
-                                            sparse.mask[start:stop]))
-    return blocks
-
-
 def auto_ridge(snr_db: float) -> float:
     """Noise-matched ridge for a unit-diagonal kernel: 10^(-snr/10), floored.
 
@@ -197,6 +186,22 @@ def _regress_with_escalation(kernel: CoordinateKernel, obs_idx: np.ndarray,
     raise AssertionError("unreachable")
 
 
+def _band_masks(sparse: SparseChannelEstimate) -> np.ndarray:
+    """The slot's pilot mask cut into its (bands, 12, N) resource-block masks.
+
+    Raises ValueError when the row count is not a multiple of
+    SUBCARRIERS_PER_RB or a band holds no pilot.
+    """
+    M, N = sparse.shape
+    if M % SUBCARRIERS_PER_RB != 0:
+        raise ValueError(f"row count {M} is not divisible by {SUBCARRIERS_PER_RB}")
+    masks = sparse.mask.reshape(-1, SUBCARRIERS_PER_RB, N)
+    empty = np.flatnonzero(~masks.any(axis=(1, 2)))
+    if empty.size:
+        raise ValueError(f"block {empty[0]} contains no pilots")
+    return masks
+
+
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _mask_kernel(shape: tuple[int, int], mask_bytes: bytes,
                  cfg: CntkConfig, weights: PriorWeights) -> CoordinateKernel:
@@ -211,22 +216,25 @@ def _mask_kernel(shape: tuple[int, int], mask_bytes: bytes,
     return normalize_kernel(compute_cntk(build_estimation_prior(block, weights), cfg))
 
 
-def estimation_kernel(block: SparseChannelEstimate,
+def estimation_kernel(sparse: SparseChannelEstimate, band: int,
                       cfg: CntkConfig = CntkConfig(),
                       weights: PriorWeights = PriorWeights()) -> CoordinateKernel:
-    """The unit-diagonal kernel `estimate_channel_cntk` solves with for a band's mask.
+    """The unit-diagonal kernel `estimate_channel_cntk` solves band `band` of `sparse` with.
 
-    It comes from the same per-process cache, keyed on the mask, `cfg` and
-    `weights`, holding at most KERNEL_CACHE_SIZE kernels (read-only, so
-    callers share them).
+    Bands are the slot's 12-row resource blocks, numbered from 0. The kernel
+    comes from the estimator's per-process cache, keyed on the band mask,
+    `cfg` and `weights`, holding at most KERNEL_CACHE_SIZE kernels
+    (read-only, so callers share them).
     """
-    return _mask_kernel(block.shape, block.mask.tobytes(), cfg, weights)
+    masks = _band_masks(sparse)
+    if not 0 <= band < len(masks):
+        raise ValueError(f"block index {band} out of range [0, {len(masks)})")
+    return _mask_kernel(masks.shape[1:], masks[band].tobytes(), cfg, weights)
 
 
 def estimate_channel_cntk(sparse: SparseChannelEstimate,
                           cfg: CntkConfig = CntkConfig(),
                           ridge: float | None = None,
-                          block_rows: int = SUBCARRIERS_PER_RB,
                           weights: PriorWeights = PriorWeights()) -> ImputedChannel:
     """Impute the full channel from a sparse pilot estimate, one band mask at a time.
 
@@ -236,22 +244,16 @@ def estimate_channel_cntk(sparse: SparseChannelEstimate,
       > 0   -> ridge smoothing of all cells; see `auto_ridge` for the
                noise-matched choice when the operating SNR is known.
     """
-    M, N = sparse.shape
-    if block_rows < 1 or M % block_rows != 0:
-        raise ValueError(f"row count {M} is not divisible by block_rows {block_rows}")
-    bands = M // block_rows
-    masks = sparse.mask.reshape(bands, -1)
-    empty = np.flatnonzero(~masks.any(axis=1))
-    if empty.size:
-        raise ValueError(f"block {empty[0]} contains no pilots")
+    masks = _band_masks(sparse)
+    bands = len(masks)
     groups = {}  # mask bytes -> bands with that mask; np.unique(axis=0) costs ~1 ms
-    for bi in range(bands):
-        groups.setdefault(masks[bi].tobytes(), []).append(bi)
+    for bi, band_mask in enumerate(masks):
+        groups.setdefault(band_mask.tobytes(), []).append(bi)
     values = sparse.values.reshape(bands, -1)
     out = np.empty(values.shape, np.complex128)
     diags = [None] * bands
     for key, members in groups.items():
-        kernel = _mask_kernel((block_rows, N), key, cfg, weights)
+        kernel = _mask_kernel(masks.shape[1:], key, cfg, weights)
         obs_idx = np.flatnonzero(masks[members[0]])
         lam = default_ridge(kernel, obs_idx) if ridge is None else ridge
         vals = values[np.ix_(members, obs_idx)]  # C order: each band mean sums as alone

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from channel_cntk import cli
+from channel_cntk import CntkConfig, cli
 from channel_cntk.container import load_dataset, load_estimates
 
 
@@ -60,6 +60,14 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         manifest, _ = load_dataset(out)
         assert manifest["pattern"]["sc_spacing"] == 4
+
+    def test_pattern_object_missing_field(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "pat.json", seed=5, rows=24,
+                            pattern={"sc_spacing": 4})
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "d.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sym_spacing" in err
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHANNEL_CNTK_OUTDIR", str(tmp_path / "outs"))
@@ -158,6 +166,16 @@ class TestSweep:
         assert code == 1
         assert "realizations" in capsys.readouterr().err
 
+    def test_config_field_errors(self, tmp_path, capsys):
+        for extra, field in (({"patterns": [{"sym_spacing": 2}]}, "sc_spacing"),
+                             ({"cntk": 3}, "cntk"),
+                             ({"cntk": {"depth": [4]}}, "depth")):
+            cfg = self._cfg(tmp_path, **extra)
+            assert cli.main(["sweep", "--config", cfg,
+                             "--out", str(tmp_path / "x.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and field in err
+
     def test_flag_overrides(self, tmp_path):
         cfg = self._cfg(tmp_path)
         out = tmp_path / "o.csv"
@@ -207,14 +225,35 @@ class TestKernelDump:
         assert code == 1
         assert "out of range" in capsys.readouterr().err
 
+    def test_row_count_not_multiple_of_12(self, tmp_path, capsys):
+        data = tmp_path / "d30.bin"
+        assert cli.main(["simulate", "--config", _sim_config(tmp_path, rows=30),
+                         "--out", str(data)]) == 0
+        code = cli.main(["kernel-dump", "--dataset", str(data),
+                         "--block", "0", "--out", str(tmp_path / "k.csv")])
+        assert code == 1
+        assert "divisible" in capsys.readouterr().err
+
     def test_dump_matches_library_kernel(self, dataset, tmp_path):
         out = tmp_path / "k.csv"
         assert cli.main(["kernel-dump", "--dataset", str(dataset),
                          "--block", "1", "--out", str(out)]) == 0
-        from channel_cntk import estimation_kernel, split_blocks
+        from channel_cntk import estimation_kernel
         from channel_cntk.cli import _sparse_from_record
         manifest, records = load_dataset(dataset)
         sparse = _sparse_from_record(records[0], manifest)
-        expect = estimation_kernel(split_blocks(sparse)[1]).gram
+        expect = estimation_kernel(sparse, 1).gram
         got = np.loadtxt(out, delimiter=",")
         assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+def test_cntk_defaults_come_from_cntk_config():
+    # the flags of `estimate` and `kernel-dump` and an empty sweep `cntk`
+    # block all give CntkConfig's own defaults
+    parser = cli.build_parser()
+    for argv in (["estimate", "--dataset", "d", "--method", "cntk", "--out", "o"],
+                 ["kernel-dump", "--dataset", "d", "--block", "0", "--out", "o"]):
+        assert cli._cntk_cfg_from(vars(parser.parse_args(argv))) == CntkConfig()
+        args = parser.parse_args(argv + ["--depth", "4", "--padding", "zero"])
+        assert cli._cntk_cfg_from(vars(args)) == CntkConfig(depth=4, padding="zero")
+    assert cli._cntk_cfg_from({}) == CntkConfig()

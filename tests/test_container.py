@@ -3,33 +3,17 @@
 import numpy as np
 import pytest
 
-from channel_cntk import ResourceGrid
 from channel_cntk.container import (
     DatasetRecord,
     load_dataset,
     load_estimates,
-    load_grid,
     save_dataset,
     save_estimates,
-    save_grid,
 )
 
 
 def _random_grid(rng, M=7, N=5):
     return rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
-
-
-def test_grid_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(1)
-    grid = ResourceGrid(_random_grid(rng), 15e3, 1 / 14000)
-    path = tmp_path / "grid.bin"
-    save_grid(path, grid, role="channel")
-    loaded, header = load_grid(path)
-    assert np.array_equal(loaded.data, grid.data)
-    assert loaded.subcarrier_spacing_hz == grid.subcarrier_spacing_hz
-    assert loaded.symbol_duration_s == grid.symbol_duration_s
-    assert header["role"] == "channel"
-    assert header["dtype"] == "c128"
 
 
 def test_dataset_roundtrip(tmp_path):
@@ -72,16 +56,16 @@ def test_wrong_kind_rejected(tmp_path):
 
 def test_truncated_payload_error(tmp_path):
     rng = np.random.default_rng(5)
-    path = tmp_path / "grid.bin"
-    save_grid(path, ResourceGrid(_random_grid(rng)))
+    path = tmp_path / "est.bin"
+    save_estimates(path, {"method": "cntk"}, [_random_grid(rng)])
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="truncated"):
-        load_grid(path)
+        load_estimates(path)
 
 
 def test_garbage_header_error(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not json at all\n\x00\x01")
     with pytest.raises(ValueError, match="malformed"):
-        load_grid(path)
+        load_dataset(path)

@@ -13,15 +13,21 @@ from channel_cntk import (
     SparseChannelEstimate,
     auto_ridge,
     estimate_channel_cntk,
+    estimation_kernel,
     kernel_regress,
     preset_pattern,
-    split_blocks,
 )
 
 
 def _random_pilots(rng, mask):
     return np.where(mask, rng.standard_normal(mask.shape)
                     + 1j * rng.standard_normal(mask.shape), 0)
+
+
+def _bands(sparse):
+    """The slot's 12-row bands as separate estimates, in order."""
+    return [SparseChannelEstimate(sparse.values[r:r + 12], sparse.mask[r:r + 12])
+            for r in range(0, sparse.shape[0], 12)]
 
 
 def _alternating_mask(rows):
@@ -126,37 +132,6 @@ class TestKernelRegress:
             RegressionProblem(K, np.array([0, 1]), np.array([np.nan, 2j]), 0.0)
 
 
-class TestSplitBlocks:
-    def test_thirty_blocks(self):
-        pat = preset_pattern("dense", 360, 14)
-        sp = SparseChannelEstimate(np.where(pat.mask, 1 + 1j, 0), pat.mask)
-        blocks = split_blocks(sp)
-        assert len(blocks) == 30
-        assert all(b.shape == (12, 14) for b in blocks)
-
-    def test_single_block_identity(self):
-        pat = preset_pattern("dense", 12, 14)
-        sp = SparseChannelEstimate(np.where(pat.mask, 2j, 0), pat.mask)
-        blocks = split_blocks(sp)
-        assert len(blocks) == 1
-        assert np.array_equal(blocks[0].values, sp.values)
-
-    def test_split_then_stitch_bit_identical(self):
-        rng = np.random.default_rng(6)
-        pat = preset_pattern("medium", 72, 14)
-        vals = np.where(pat.mask, rng.standard_normal((72, 14))
-                        + 1j * rng.standard_normal((72, 14)), 0)
-        sp = SparseChannelEstimate(vals, pat.mask)
-        back = np.concatenate([b.values for b in split_blocks(sp)])
-        assert np.array_equal(back, vals)
-
-    def test_divisibility_error(self):
-        pat = preset_pattern("dense", 24, 14)
-        sp = SparseChannelEstimate(np.where(pat.mask, 1 + 0j, 0), pat.mask)
-        with pytest.raises(ValueError, match="divisible"):
-            split_blocks(sp, block_rows=7)
-
-
 class TestEstimateChannel:
     def test_constant_channel_recovery(self):
         # constant target, any pattern: recovered within 1e-3 relative
@@ -214,11 +189,10 @@ class TestEstimateChannel:
         for mask in (preset_pattern("dense", 36, 14).mask, _alternating_mask(360)):
             sp = SparseChannelEstimate(_random_pilots(rng, mask), mask)
             whole = estimate_channel_cntk(sp, ridge=1e-3).h_hat
-            parts = [estimate_channel_cntk(b, ridge=1e-3).h_hat
-                     for b in split_blocks(sp)]
+            parts = [estimate_channel_cntk(b, ridge=1e-3).h_hat for b in _bands(sp)]
             # reversed processing order, same stacking positions
             parts_rev = [estimate_channel_cntk(b, ridge=1e-3).h_hat
-                         for b in reversed(split_blocks(sp))][::-1]
+                         for b in reversed(_bands(sp))][::-1]
             assert np.array_equal(whole, np.concatenate(parts))
             assert np.array_equal(whole, np.concatenate(parts_rev))
 
@@ -228,6 +202,13 @@ class TestEstimateChannel:
         mask[0, 1] = True
         sp = SparseChannelEstimate(np.where(mask, 1 + 0j, 0), mask)
         with pytest.raises(ValueError, match="block 1"):
+            estimate_channel_cntk(sp)
+
+    def test_row_count_not_multiple_of_12_error(self):
+        mask = np.zeros((30, 14), bool)
+        mask[::2, ::4] = True
+        sp = SparseChannelEstimate(np.where(mask, 1 + 0j, 0), mask)
+        with pytest.raises(ValueError, match="divisible"):
             estimate_channel_cntk(sp)
 
     def test_diagnostics_present(self):
@@ -248,6 +229,27 @@ class TestEstimateChannel:
             assert (diags[a].ridge, diags[a].condition, diags[a].solve_s) \
                 == (diags[b].ridge, diags[b].condition, diags[b].solve_s)
         assert diags[0].condition != diags[1].condition
+
+
+class TestEstimationKernel:
+    def test_band_out_of_range(self):
+        pat = preset_pattern("dense", 24, 14)
+        sp = SparseChannelEstimate(np.where(pat.mask, 1 + 0j, 0), pat.mask)
+        for band in (2, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                estimation_kernel(sp, band)
+
+    def test_band_of_slot_equals_band_alone(self):
+        # cutting the slot into bands changes nothing: a band's kernel is the
+        # kernel of that band given as a slot of its own, built cold both times
+        rng = np.random.default_rng(17)
+        mask = _alternating_mask(48)
+        sp = SparseChannelEstimate(_random_pilots(rng, mask), mask)
+        for b, band in enumerate(_bands(sp)):
+            imputer._mask_kernel.cache_clear()
+            in_slot = estimation_kernel(sp, b).gram
+            imputer._mask_kernel.cache_clear()
+            assert np.array_equal(in_slot, estimation_kernel(band, 0).gram)
 
 
 def test_estimator_is_additive_in_pilots():
