@@ -64,15 +64,38 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _parse_snr(value) -> float:
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "+inf", "infinity"):
-            return math.inf
-        try:
-            return float(value)
-        except ValueError:
-            raise CliError(f"invalid snr_db value {value!r}") from None
-    return float(value)
+_KIND_NAMES = {int: "an integer", float: "a number", list: "a list"}
+
+
+def _checked(value, kind, field: str):
+    """`kind(value)` for a config value; a value of the wrong JSON type is a
+    CliError naming `field`. float() also reads "inf" and numeric strings."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(f"config field {field!r} must be {_KIND_NAMES[kind]}, "
+                       f"got {value!r}") from None
+
+
+def _taps(value) -> list[tuple[float, float]]:
+    """The `taps` field: a list of [delay_s, power_db] pairs."""
+    pairs = [_checked(t, list, "taps") for t in _checked(value, list, "taps")]
+    if any(len(t) != 2 for t in pairs):
+        raise CliError(f"config field 'taps' must hold [delay_s, power_db] pairs, "
+                       f"got {value!r}")
+    return [(_checked(d, float, "taps"), _checked(p, float, "taps")) for d, p in pairs]
+
+
+def _grid_and_channel(cfg: dict) -> tuple:
+    """(rows, cols, subcarrier spacing, symbol duration, taps, doppler) of a config."""
+    return (_checked(cfg.get("rows", 360), int, "rows"),
+            _checked(cfg.get("cols", 14), int, "cols"),
+            _checked(cfg.get("subcarrier_spacing_hz", DEFAULT_SUBCARRIER_SPACING_HZ),
+                     float, "subcarrier_spacing_hz"),
+            _checked(cfg.get("symbol_duration_s", DEFAULT_SYMBOL_DURATION_S),
+                     float, "symbol_duration_s"),
+            _taps(cfg.get("taps", DEFAULT_TAPS)),
+            _checked(cfg.get("doppler_hz", DEFAULT_DOPPLER_HZ), float, "doppler_hz"))
 
 
 def _resolve_out(path: str) -> Path:
@@ -103,10 +126,9 @@ def _pattern_from_config(spec, rows: int, cols: int) -> tuple[PilotPattern, dict
         for name in ("sc_spacing", "sym_spacing"):
             if name not in spec:
                 raise CliError(f"pattern object is missing required field {name!r}")
-        pattern = make_pilot_pattern(rows, cols,
-                                     int(spec["sc_spacing"]), int(spec["sym_spacing"]),
-                                     int(spec.get("sc_offset", 0)),
-                                     int(spec.get("sym_offset", 0)))
+        pattern = make_pilot_pattern(rows, cols, *(
+            _checked(spec.get(name, 0), int, f"pattern.{name}")
+            for name in ("sc_spacing", "sym_spacing", "sc_offset", "sym_offset")))
         desc = {}
     else:
         raise CliError(f"pattern must be a preset name or spacing object, got {spec!r}")
@@ -117,33 +139,22 @@ def _pattern_from_config(spec, rows: int, cols: int) -> tuple[PilotPattern, dict
 
 def _cntk_cfg_from(values: dict) -> CntkConfig:
     """CntkConfig from a sweep's `cntk` block or `vars(args)`; absent fields keep its defaults."""
-    fields = {}
-    for field in dataclasses.fields(CntkConfig):
-        kind = type(field.default)
-        value = values.get(field.name, field.default)
-        try:
-            fields[field.name] = kind(value)
-        except (TypeError, ValueError):
-            raise CliError(f"cntk field {field.name!r} must be a {kind.__name__}, "
-                           f"got {value!r}") from None
-    return CntkConfig(**fields)
+    return CntkConfig(**{
+        field.name: _checked(values.get(field.name, field.default), type(field.default),
+                             f"cntk.{field.name}")
+        for field in dataclasses.fields(CntkConfig)})
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if "seed" not in cfg:
         raise CliError("missing required config field: seed")
-    seed = int(cfg["seed"])
-    realizations = int(cfg.get("realizations", 1))
+    seed = _checked(cfg["seed"], int, "seed")
+    realizations = _checked(cfg.get("realizations", 1), int, "realizations")
     if realizations < 1:
         raise CliError("realizations must be >= 1")
-    snr_db = _parse_snr(cfg.get("snr_db", 20.0))
-    rows = int(cfg.get("rows", 360))
-    cols = int(cfg.get("cols", 14))
-    scs = float(cfg.get("subcarrier_spacing_hz", DEFAULT_SUBCARRIER_SPACING_HZ))
-    tsym = float(cfg.get("symbol_duration_s", DEFAULT_SYMBOL_DURATION_S))
-    taps = [tuple(t) for t in cfg.get("taps", DEFAULT_TAPS)]
-    doppler = float(cfg.get("doppler_hz", DEFAULT_DOPPLER_HZ))
+    snr_db = _checked(cfg.get("snr_db", 20.0), float, "snr_db")
+    rows, cols, scs, tsym, taps, doppler = _grid_and_channel(cfg)
     pattern, pattern_desc = _pattern_from_config(cfg.get("pattern", "dense"), rows, cols)
     out = args.out or cfg.get("out")
     if not out:
@@ -194,7 +205,7 @@ def cmd_estimate(args) -> int:
     if ridge is None and args.method == "cntk":
         # noise-matched default against the dataset's recorded SNR
         from .imputer import auto_ridge
-        ridge = auto_ridge(_parse_snr(manifest.get("snr_db", math.inf)))
+        ridge = auto_ridge(_checked(manifest.get("snr_db", math.inf), float, "snr_db"))
         print(f"ridge: auto (snr {manifest.get('snr_db')} dB -> {ridge:g})")
     fn = make_method(args.method, cntk_cfg=cntk_cfg, cntk_ridge=ridge, knn_k=args.knn_k)
     estimates = []
@@ -234,33 +245,34 @@ def cmd_sweep(args) -> int:
     for m in methods:
         if m not in METHOD_TAGS:
             raise CliError(f"unknown method {m!r}; valid methods: {', '.join(METHOD_TAGS)}")
-    snrs = ([_parse_snr(s) for s in args.snrs.split(",")] if args.snrs
-            else [_parse_snr(s) for s in cfg.get("snr_dbs", [0.0, 10.0, 20.0, 30.0])])
+    snrs = [_checked(s, float, "snr_dbs") for s in
+            (args.snrs.split(",") if args.snrs
+             else _checked(cfg.get("snr_dbs", [0.0, 10.0, 20.0, 30.0]), list, "snr_dbs"))]
     pattern_specs = (args.patterns.split(",") if args.patterns
-                     else cfg.get("patterns", ["dense"]))
+                     else _checked(cfg.get("patterns", ["dense"]), list, "patterns"))
     realizations = args.realizations if args.realizations is not None \
-        else int(cfg.get("realizations", 1))
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
-    rows = int(cfg.get("rows", 360))
-    cols = int(cfg.get("cols", 14))
+        else _checked(cfg.get("realizations", 1), int, "realizations")
+    seed = args.seed if args.seed is not None else _checked(cfg["seed"], int, "seed")
+    rows, cols, scs, tsym, taps, doppler = _grid_and_channel(cfg)
     measure_time = cfg.get("measure_time", True) and not args.no_timing
     cntk_block = cfg.get("cntk", {})
     if not isinstance(cntk_block, dict):
         raise CliError(f"config field 'cntk' must be a JSON object, got {cntk_block!r}")
+    known = {field.name for field in dataclasses.fields(CntkConfig)} | {"ridge"}
+    unknown = sorted(set(cntk_block) - known)
+    if unknown:
+        raise CliError(f"unknown cntk field(s) {', '.join(map(repr, unknown))}; "
+                       f"valid fields: {', '.join(sorted(known))}")
     ridge = cntk_block.get("ridge", "auto")
     patterns = [_pattern_from_config(p, rows, cols)[0] for p in pattern_specs]
     threads = _thread_cap(args.threads)
     result = run_sweep(
         methods, snrs, patterns, realizations, seed,
-        rows=rows, cols=cols,
-        subcarrier_spacing_hz=float(cfg.get("subcarrier_spacing_hz",
-                                            DEFAULT_SUBCARRIER_SPACING_HZ)),
-        symbol_duration_s=float(cfg.get("symbol_duration_s", DEFAULT_SYMBOL_DURATION_S)),
-        taps=[tuple(t) for t in cfg.get("taps", DEFAULT_TAPS)],
-        doppler_hz=float(cfg.get("doppler_hz", DEFAULT_DOPPLER_HZ)),
+        rows=rows, cols=cols, subcarrier_spacing_hz=scs, symbol_duration_s=tsym,
+        taps=taps, doppler_hz=doppler,
         cntk_cfg=_cntk_cfg_from(cntk_block),
-        cntk_ridge="auto" if ridge in (None, "auto") else float(ridge),
-        knn_k=int(cfg.get("knn_k", 4)),
+        cntk_ridge="auto" if ridge in (None, "auto") else _checked(ridge, float, "cntk.ridge"),
+        knn_k=_checked(cfg.get("knn_k", 4), int, "knn_k"),
         measure_time=measure_time, n_threads=threads)
     out = args.out or cfg.get("out")
     if not out:

@@ -3,16 +3,17 @@
 Independent oracle for the closed-form kernel recursion. It builds the
 actual finite network the recursion describes (conv -> leaky ReLU -> conv
 -> leaky ReLU -> 1x1 readout, NTK parameterization: layer scales 1/q,
-1/(q*sqrt(width)), 1/sqrt(width)), computes the central finite difference
-of every output pixel with respect to every parameter, and accumulates the
-outer products of those gradient vectors, averaged over random
-initializations.
+1/(q*sqrt(width)), 1/sqrt(width)), differentiates every output pixel with
+respect to every parameter exactly by hand-written backpropagation, and
+averages the resulting tangent kernel over random initializations.
 
-The per-parameter finite differences are evaluated exactly but cheaply by
-exploiting that a single-parameter perturbation changes one channel of one
-layer: unchanged activations are reused instead of re-running the full
-forward pass. Padding before each convolution follows the same mode as
-`patch_aggregate` ("extrapolate" = odd reflection, or "zero").
+The kernel of one initialization is the sum over the three parameter
+groups (first conv, second conv, readout) of the Gram matrices of their
+output Jacobians; each is formed in closed form from the forward
+activations without materializing the Jacobian. Padding before each
+convolution follows the same mode as `patch_aggregate` ("extrapolate" =
+odd reflection, or "zero"); being linear, its Jacobian is the patches of
+the identity images.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _patches(x: np.ndarray, q: int, mode: str) -> np.ndarray:
 
 
 def empirical_ntk(planes: np.ndarray, *, q: int = 3, width: int = 512,
-                  n_init: int = 20, seed: int = 0, delta: float = 1e-3,
+                  n_init: int = 20, seed: int = 0,
                   neg_slope: float = 0.05, pos_slope: float = 1.0,
                   mode: str = "extrapolate") -> np.ndarray:
     """Average empirical NTK (P x P) over n_init random initializations.
@@ -59,58 +60,37 @@ def empirical_ntk(planes: np.ndarray, *, q: int = 3, width: int = 512,
     def act(x):
         return np.where(x >= 0, b * x, a * x)
 
+    def act_prime(x):
+        return np.where(x >= 0, b, a)
+
     rng = np.random.default_rng(seed)
     K = np.zeros((P, P))
-    pat_a = _patches(planes, q, mode)  # (C0, q^2, P), constant across inits
-    pat_a_flat = pat_a.reshape(C0 * q * q, P)
-    n_dirs1 = C0 * q * q  # directions per first-layer output channel
+    A = _patches(planes, q, mode).reshape(C0 * q * q, P)  # constant across inits
+    AtA = (A.T @ A) / q**2
+    # Jacobian of the padded patches w.r.t. the input pixels: T[p, o, i] is
+    # d(patch o at pixel i) / d(pixel p), the same for every channel
+    T = _patches(np.eye(P).reshape(P, M, N), q, mode)  # (P, q^2, P)
 
     for _ in range(n_init):
         W1 = rng.standard_normal((w, C0, q * q))
         W2 = rng.standard_normal((w, w, q * q))
         v = rng.standard_normal(w)
 
-        u1 = (W1.reshape(w, -1) @ pat_a_flat) / q  # (w, P)
-        y1 = act(u1)
-        pat_y1 = _patches(y1.reshape(w, M, N), q, mode)  # (w, q^2, P)
-        u2 = (W2.reshape(w, -1) @ pat_y1.reshape(w * q * q, P)) / (q * np.sqrt(w))
+        u1 = (W1.reshape(w, -1) @ A) / q  # (w, P)
+        pat1 = _patches(act(u1).reshape(w, M, N), q, mode).reshape(w * q * q, P)
+        u2 = (W2.reshape(w, -1) @ pat1) / (q * np.sqrt(w))
         y2 = act(u2)
+        g2 = v[:, None] * act_prime(u2) / np.sqrt(w)  # df_i / du2[d, i]
 
-        # readout weights: f is linear in v, so the central difference equals
-        # y2 / sqrt(w) for every entry
+        # readout: df_i / dv_d = y2[d, i] / sqrt(w)
         K += (y2.T @ y2) / w
-
-        # second conv layer: perturbing W2[c, c', o] shifts u2[c] by
-        # +-delta * pat_y1[c', o] / (q sqrt(w)); other channels are unchanged
-        S2 = pat_y1 / (q * np.sqrt(w))  # (w, q^2, P)
-        # keep the (chunk, w, q^2, P) buffer around 32 MB
-        chunk = max(1, int(4e6 / (w * q * q * P)))
-        for c0 in range(0, w, chunk):
-            c1 = min(c0 + chunk, w)
-            base = u2[c0:c1, None, None, :]  # (B, 1, 1, P)
-            dp = act(base + delta * S2[None]) - act(base - delta * S2[None])
-            G = (v[c0:c1, None, None, None] / (2 * delta * np.sqrt(w))) * dp
-            G = G.reshape(-1, P)
-            K += G.T @ G
-
-        # first conv layer: perturbing W1[c, c', o] shifts u1[c] by
-        # +-delta * pat_a[c', o] / q; the change in y1[c] propagates through
-        # the (linear) padding and second conv into every u2 channel
-        D1 = pat_a_flat / q  # (n_dirs1, P)
-        W2_by_in = W2.transpose(1, 0, 2)  # (in c, out d, q^2)
-        for c in range(w):
-            dy_p = act(u1[c][None, :] + delta * D1) - y1[c][None, :]
-            dy_m = act(u1[c][None, :] - delta * D1) - y1[c][None, :]
-            # patches of the per-direction y1 perturbation images
-            pp = _patches(dy_p.reshape(n_dirs1, M, N), q, mode)
-            pm = _patches(dy_m.reshape(n_dirs1, M, N), q, mode)
-            w2c = W2_by_in[c]  # (w, q^2)
-            du_p = np.einsum("do,poi->pdi", w2c, pp, optimize=True) / (q * np.sqrt(w))
-            du_m = np.einsum("do,poi->pdi", w2c, pm, optimize=True) / (q * np.sqrt(w))
-            f_p = np.einsum("d,pdi->pi", v, act(u2[None] + du_p)) / np.sqrt(w)
-            f_m = np.einsum("d,pdi->pi", v, act(u2[None] + du_m)) / np.sqrt(w)
-            G1 = (f_p - f_m) / (2 * delta)
-            K += G1.T @ G1
+        # second conv: df_i / dW2[d, c, o] = g2[d, i] * pat1[c, o, i] / (q sqrt(w))
+        K += (g2.T @ g2) * (pat1.T @ pat1) / (q**2 * w)
+        # first conv: df_i / du1[c, p] through W2 and the padding, then
+        # df_i / dW1[c, c', o'] = sum_p d1[c, p, i] * A[c' o', p] / q
+        H = np.einsum("dco,di->coi", W2, g2, optimize=True) / (q * np.sqrt(w))
+        d1 = np.einsum("coi,poi->cpi", H, T) * act_prime(u1)[:, :, None]
+        K += np.einsum("cpi,pr,crj->ij", d1, AtA, d1, optimize=True)
 
     return K / n_init
 

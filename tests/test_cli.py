@@ -69,6 +69,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "sym_spacing" in err
 
+    @pytest.mark.parametrize("extra, field", [
+        ({"pattern": {"sc_spacing": [4], "sym_spacing": 2}}, "sc_spacing"),
+        ({"rows": [24]}, "rows"),
+    ], ids=["sc_spacing", "rows"])
+    def test_wrong_json_type_names_field(self, tmp_path, capsys, extra, field):
+        cfg = _sim_config(tmp_path, **extra)
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "d.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHANNEL_CNTK_OUTDIR", str(tmp_path / "outs"))
         cfg = _sim_config(tmp_path)
@@ -169,7 +180,9 @@ class TestSweep:
     def test_config_field_errors(self, tmp_path, capsys):
         for extra, field in (({"patterns": [{"sym_spacing": 2}]}, "sc_spacing"),
                              ({"cntk": 3}, "cntk"),
-                             ({"cntk": {"depth": [4]}}, "depth")):
+                             ({"cntk": {"depth": [4]}}, "depth"),
+                             ({"cntk": {"ridge": [1]}}, "ridge"),
+                             ({"cntk": {"dept": 2, "filter_sise": 5}}, "dept")):
             cfg = self._cfg(tmp_path, **extra)
             assert cli.main(["sweep", "--config", cfg,
                              "--out", str(tmp_path / "x.csv")]) == 1

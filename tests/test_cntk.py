@@ -17,6 +17,7 @@ from channel_cntk import (
 )
 
 from dual_oracle import mc_dual_oracle
+from ntk_finite_width import empirical_ntk
 
 
 class TestLeakyReluDuals:
@@ -349,3 +350,23 @@ def test_cntk_config_validation():
         CntkConfig(padding="circular")
     assert CntkConfig().fingerprint() == "L8q3a0.05b1"
     assert "zero" in CntkConfig(padding="zero").fingerprint()
+
+
+@pytest.mark.parametrize("padding", ["extrapolate", "zero"])
+def test_finite_width_ntk_relative_error(padding):
+    # the cosine of acceptance criterion 3 is blind to the kernel's scale and
+    # to a missing layer's term; the relative Frobenius error sees both
+    rng = np.random.default_rng(11)
+    M = N = 4
+    mask = np.zeros((M, N), bool)
+    mask[[0, 1, 2, 3, 0, 2], [0, 2, 1, 3, 3, 3]] = True
+    vals = np.where(mask, rng.standard_normal((M, N))
+                    + 1j * rng.standard_normal((M, N)), 0)
+    prior = build_prior(SparseChannelEstimate(vals, mask))
+    cfg = CntkConfig(depth=2, filter_size=3, neg_slope=0.05, pos_slope=1.0,
+                     padding=padding)
+    analytic = compute_cntk(prior, cfg).gram
+    empirical = empirical_ntk(prior.planes, q=3, width=512, n_init=20, seed=0,
+                              neg_slope=0.05, pos_slope=1.0, mode=padding)
+    rel = np.linalg.norm(empirical - analytic) / np.linalg.norm(analytic)
+    assert rel <= 0.1

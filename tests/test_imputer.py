@@ -265,6 +265,21 @@ def test_estimator_is_additive_in_pilots():
         assert np.abs(est12 - (est1 + est2)).max() <= 1e-10 * np.abs(est12).max()
 
 
+@pytest.mark.parametrize("ridge", [None, 0.0, 1e-2])
+@pytest.mark.parametrize("mask", [preset_pattern("dense", 24, 14).mask, _alternating_mask(24)],
+                         ids=["dense", "alternating"])
+def test_estimator_is_homogeneous_and_shift_equivariant(mask, ridge):
+    # estimate(alpha*y + c*mask) == alpha*estimate(y) + c for complex alpha, c:
+    # the smoother is complex-linear and reproduces constants
+    rng = np.random.default_rng(15)
+    y = _random_pilots(rng, mask)
+    alpha, c = 0.7 - 1.9j, -2.3 + 0.4j
+    est, est_mapped = (estimate_channel_cntk(SparseChannelEstimate(v, mask), ridge=ridge).h_hat
+                       for v in (y, alpha * y + c * mask))
+    expected = alpha * est + c
+    assert np.abs(est_mapped - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
 def _count_calls(monkeypatch, sparse, clear=True):
     """(kernel builds, kernel_regress calls) of one estimate, from an empty
     kernel cache unless clear=False."""
