@@ -30,7 +30,7 @@ from .chansim import (
     make_qpsk_grid,
     transmit,
 )
-from .cntk import PADDING_MODES, CntkConfig
+from .cntk import CntkConfig
 from .evaluate import METHOD_TAGS, make_method, run_sweep
 from .grid import (
     DEFAULT_SUBCARRIER_SPACING_HZ,
@@ -64,13 +64,17 @@ def _load_config(path) -> dict:
     return cfg
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", list: "a list"}
+_KIND_NAMES = {int: "an integer", float: "a number", list: "a list", bool: "true or false"}
 
 
 def _checked(value, kind, field: str):
-    """`kind(value)` for a config value; a value of the wrong JSON type is a
-    CliError naming `field`. float() also reads "inf" and numeric strings."""
+    """`kind(value)` for a config value, else a CliError naming `field`: true/false
+    fits only bool, a fraction never int; float() also reads "inf" and numeric strings."""
     try:
+        if isinstance(value, bool) != (kind is bool):
+            raise TypeError
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise CliError(f"config field {field!r} must be {_KIND_NAMES[kind]}, "
@@ -254,7 +258,8 @@ def cmd_sweep(args) -> int:
         else _checked(cfg.get("realizations", 1), int, "realizations")
     seed = args.seed if args.seed is not None else _checked(cfg["seed"], int, "seed")
     rows, cols, scs, tsym, taps, doppler = _grid_and_channel(cfg)
-    measure_time = cfg.get("measure_time", True) and not args.no_timing
+    measure_time = (_checked(cfg.get("measure_time", True), bool, "measure_time")
+                    and not args.no_timing)
     cntk_block = cfg.get("cntk", {})
     if not isinstance(cntk_block, dict):
         raise CliError(f"config field 'cntk' must be a JSON object, got {cntk_block!r}")
@@ -316,11 +321,7 @@ def _add_cntk_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--filter-size", type=int, default=d.filter_size,
                    help="conv filter size (odd)")
     p.add_argument("--neg-slope", type=float, default=d.neg_slope,
-                   help="leaky-ReLU negative slope")
-    p.add_argument("--pos-slope", type=float, default=d.pos_slope,
-                   help="leaky-ReLU positive slope")
-    p.add_argument("--padding", choices=PADDING_MODES, default=d.padding,
-                   help="patch aggregation boundary handling")
+                   help="leaky-ReLU negative slope (the positive slope is 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,17 +1,13 @@
 """Closed-form convolutional neural tangent kernel over grid coordinates.
 
-The kernel is the infinite-width NTK of a depth-L convolutional network with
-leaky-ReLU activations, evaluated between every pair of grid pixels. It is
-computed by the standard layerwise recursion: a patchwise covariance
-aggregation (the convolution), followed by the Gaussian dual of the
-activation, accumulating the tangent kernel alongside the covariance.
-
-Two padding conventions are supported for the aggregation. "extrapolate"
-(the default) corresponds to a linear odd-reflection padding layer before
-each convolution; it continues ramps through the grid border and leaves
-constants invariant, which keeps boundary pixels as predictable as interior
-ones. "zero" is plain zero padding; it decays boundary energy with depth
-and is retained for reference and tests.
+The kernel is the infinite-width NTK of one depth-L convolutional network,
+evaluated between every pair of grid pixels. Each layer pads by linear odd
+reflection, which continues ramps through the grid border and leaves
+constants invariant (boundary pixels stay as predictable as interior ones),
+then applies a q x q convolution and a leaky ReLU of positive slope 1. The
+recursion per layer is a patchwise covariance aggregation (the padded
+convolution), then the Gaussian dual of the activation, accumulating the
+tangent kernel alongside the covariance.
 
 The input is a small stack of real feature planes built from the sparse
 pilot image. `build_prior` produces the plain 5-plane stack (values, mask,
@@ -37,42 +33,33 @@ COV_TOL = 1e-8
 #: lam11*lam22 < EPS_RHO^2 is treated as zero-energy.
 EPS_RHO = 1e-9
 
-PADDING_MODES = ("extrapolate", "zero")
-
 
 @dataclass(frozen=True)
 class CntkConfig:
     """Kernel hyperparameters of the underlying convolutional architecture.
 
-    depth: number of conv+activation layers L.
+    depth: number of padding+conv+activation layers L.
     filter_size: odd spatial extent q of each conv filter.
-    neg_slope / pos_slope: leaky-ReLU slopes for negative / positive inputs.
-    padding: boundary handling of the patch aggregation, "extrapolate" or "zero".
+    neg_slope: leaky-ReLU slope for negative inputs; the positive slope is 1, as
+    `normalize_kernel` removes the b^(2L) factor any other slope b would give,
+    so the normalized kernel depends on the slopes only through their ratio.
     """
 
     depth: int = 8
     filter_size: int = 3
     neg_slope: float = 0.05
-    pos_slope: float = 1.0
-    padding: str = "extrapolate"
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if self.filter_size < 1 or self.filter_size % 2 == 0:
             raise ValueError("filter_size must be odd and positive")
-        if not (0 <= self.neg_slope <= self.pos_slope) or not (self.pos_slope > 0):
-            raise ValueError("slopes must satisfy 0 <= neg_slope <= pos_slope, pos_slope > 0")
-        if self.padding not in PADDING_MODES:
-            raise ValueError(f"padding must be one of {PADDING_MODES}")
+        if not 0 <= self.neg_slope <= 1:
+            raise ValueError("neg_slope must satisfy 0 <= neg_slope <= 1")
 
     def fingerprint(self) -> str:
         """Compact tag used in serialized estimate headers."""
-        tag = (f"L{self.depth}q{self.filter_size}"
-               f"a{self.neg_slope:g}b{self.pos_slope:g}")
-        if self.padding != "extrapolate":
-            tag += f"p{self.padding}"
-        return tag
+        return f"L{self.depth}q{self.filter_size}a{self.neg_slope:g}"
 
 
 @dataclass(frozen=True)
@@ -236,34 +223,23 @@ def leaky_relu_duals(lam11, lam22, lam12, neg_slope: float, pos_slope: float):
     return sigma, sigma_dot
 
 
-def patch_aggregate(field: np.ndarray, dims: tuple[int, int], q: int,
-                    padding: str = "extrapolate") -> np.ndarray:
+def patch_aggregate(field: np.ndarray, dims: tuple[int, int], q: int) -> np.ndarray:
     """Diagonal patch trace of a pixel-pair field: the conv layer's kernel map.
 
     out[i, j] = (1/q^2) * sum over offsets (a, b) in [-q//2, q//2]^2 of
     field[i + (a, b), j + (a, b)], where both pixel indices shift by the
-    SAME offset. Out-of-bounds samples follow the padding mode: under
-    "extrapolate" the field is continued by odd reflection (linear
-    extrapolation through the border, the covariance map of an
-    odd-reflection padding layer); under "zero" they contribute zero.
+    SAME offset. Out-of-bounds samples continue the field by odd reflection
+    (linear extrapolation through the border), the covariance map of an
+    odd-reflection padding layer.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError("q must be odd and positive")
-    if padding not in PADDING_MODES:
-        raise ValueError(f"padding must be one of {PADDING_MODES}")
     M, N = dims
     P = M * N
     if field.shape != (P, P):
         raise ValueError(f"field must be {P}x{P} for dims {dims}")
-    if q == 1:
-        return field.copy()
     r = q // 2
-    f4 = field.reshape(M, N, M, N)
-    if padding == "zero":
-        padded = np.zeros((M + 2 * r, N + 2 * r, M + 2 * r, N + 2 * r))
-        padded[r:r + M, r:r + N, r:r + M, r:r + N] = f4
-    else:
-        padded = np.pad(f4, r, mode="reflect", reflect_type="odd")
+    padded = np.pad(field.reshape(M, N, M, N), r, mode="reflect", reflect_type="odd")
     out = np.zeros((M, N, M, N))
     for da in range(q):
         for db in range(q):
@@ -285,13 +261,12 @@ def compute_cntk(prior: PriorTensor, cfg: CntkConfig = CntkConfig()) -> Coordina
     A = prior.planes.reshape(prior.n_channels, P)
     sigma = A.T @ A
     theta = sigma.copy()
-    a, b = cfg.neg_slope, cfg.pos_slope
     for _ in range(cfg.depth):
-        cov = patch_aggregate(sigma, (M, N), cfg.filter_size, cfg.padding)
-        theta_agg = patch_aggregate(theta, (M, N), cfg.filter_size, cfg.padding)
+        cov = patch_aggregate(sigma, (M, N), cfg.filter_size)
+        theta_agg = patch_aggregate(theta, (M, N), cfg.filter_size)
         # the aggregated covariance is PSD up to rounding; clip float dust
         diag = np.maximum(np.diag(cov).copy(), 0.0)
-        sigma, sigma_dot = leaky_relu_duals(diag[:, None], diag[None, :], cov, a, b)
+        sigma, sigma_dot = leaky_relu_duals(diag[:, None], diag[None, :], cov, cfg.neg_slope, 1.0)
         theta = theta_agg * sigma_dot + sigma
     gram = 0.5 * (theta + theta.T)
     if not np.all(np.isfinite(gram)):

@@ -10,10 +10,9 @@ averages the resulting tangent kernel over random initializations.
 The kernel of one initialization is the sum over the three parameter
 groups (first conv, second conv, readout) of the Gram matrices of their
 output Jacobians; each is formed in closed form from the forward
-activations without materializing the Jacobian. Padding before each
-convolution follows the same mode as `patch_aggregate` ("extrapolate" =
-odd reflection, or "zero"); being linear, its Jacobian is the patches of
-the identity images.
+activations without materializing the Jacobian. Each convolution is
+preceded by the odd-reflection padding `patch_aggregate` describes; being
+linear, its Jacobian is the patches of the identity images.
 """
 
 from __future__ import annotations
@@ -21,18 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def _pad_planes(x: np.ndarray, r: int, mode: str) -> np.ndarray:
-    """Pad (C, M, N) planes spatially by r using the recursion's convention."""
-    if mode == "zero":
-        return np.pad(x, ((0, 0), (r, r), (r, r)))
-    return np.pad(x, ((0, 0), (r, r), (r, r)), mode="reflect", reflect_type="odd")
-
-
-def _patches(x: np.ndarray, q: int, mode: str) -> np.ndarray:
-    """All q x q windows: (C, M, N) -> (C, q*q, M*N)."""
+def _patches(x: np.ndarray, q: int) -> np.ndarray:
+    """All q x q windows of the odd-reflection padded planes: (C, M, N) -> (C, q*q, M*N)."""
     C, M, N = x.shape
     r = q // 2
-    padded = _pad_planes(x, r, mode)
+    padded = np.pad(x, ((0, 0), (r, r), (r, r)), mode="reflect", reflect_type="odd")
     cols = np.empty((C, q * q, M * N))
     k = 0
     for a in range(q):
@@ -44,8 +36,7 @@ def _patches(x: np.ndarray, q: int, mode: str) -> np.ndarray:
 
 def empirical_ntk(planes: np.ndarray, *, q: int = 3, width: int = 512,
                   n_init: int = 20, seed: int = 0,
-                  neg_slope: float = 0.05, pos_slope: float = 1.0,
-                  mode: str = "extrapolate") -> np.ndarray:
+                  neg_slope: float = 0.05, pos_slope: float = 1.0) -> np.ndarray:
     """Average empirical NTK (P x P) over n_init random initializations.
 
     planes: (C0, M, N) input tensor (the prior). The architecture matches a
@@ -65,11 +56,11 @@ def empirical_ntk(planes: np.ndarray, *, q: int = 3, width: int = 512,
 
     rng = np.random.default_rng(seed)
     K = np.zeros((P, P))
-    A = _patches(planes, q, mode).reshape(C0 * q * q, P)  # constant across inits
+    A = _patches(planes, q).reshape(C0 * q * q, P)  # constant across inits
     AtA = (A.T @ A) / q**2
     # Jacobian of the padded patches w.r.t. the input pixels: T[p, o, i] is
     # d(patch o at pixel i) / d(pixel p), the same for every channel
-    T = _patches(np.eye(P).reshape(P, M, N), q, mode)  # (P, q^2, P)
+    T = _patches(np.eye(P).reshape(P, M, N), q)  # (P, q^2, P)
 
     for _ in range(n_init):
         W1 = rng.standard_normal((w, C0, q * q))
@@ -77,7 +68,7 @@ def empirical_ntk(planes: np.ndarray, *, q: int = 3, width: int = 512,
         v = rng.standard_normal(w)
 
         u1 = (W1.reshape(w, -1) @ A) / q  # (w, P)
-        pat1 = _patches(act(u1).reshape(w, M, N), q, mode).reshape(w * q * q, P)
+        pat1 = _patches(act(u1).reshape(w, M, N), q).reshape(w * q * q, P)
         u2 = (W2.reshape(w, -1) @ pat1) / (q * np.sqrt(w))
         y2 = act(u2)
         g2 = v[:, None] * act_prime(u2) / np.sqrt(w)  # df_i / du2[d, i]

@@ -76,7 +76,7 @@ def test_criterion_2_kernel_validity():
     """50 random-prior kernels are symmetric and PSD at stated tolerances."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    cfg = CntkConfig(depth=8, filter_size=3, neg_slope=0.05, pos_slope=1.0)
+    cfg = CntkConfig(depth=8, filter_size=3, neg_slope=0.05)
     M, N = 12, 14
     P = M * N
     for trial in range(50):
@@ -103,11 +103,10 @@ def test_criterion_3_finite_width_agreement():
     vals = np.where(mask, rng.standard_normal((M, N))
                     + 1j * rng.standard_normal((M, N)), 0)
     prior = build_prior(SparseChannelEstimate(vals, mask))
-    cfg = CntkConfig(depth=2, filter_size=3, neg_slope=0.05, pos_slope=1.0)
+    cfg = CntkConfig(depth=2, filter_size=3, neg_slope=0.05)
     analytic = compute_cntk(prior, cfg).gram
     empirical = empirical_ntk(prior.planes, q=3, width=512, n_init=20, seed=0,
-                              neg_slope=0.05, pos_slope=1.0,
-                              mode=cfg.padding)
+                              neg_slope=0.05, pos_slope=1.0)
     cos = cosine_similarity(analytic, empirical)
     elapsed = time.perf_counter() - t0
     assert cos >= 0.9

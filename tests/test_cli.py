@@ -72,13 +72,23 @@ class TestSimulate:
     @pytest.mark.parametrize("extra, field", [
         ({"pattern": {"sc_spacing": [4], "sym_spacing": 2}}, "sc_spacing"),
         ({"rows": [24]}, "rows"),
-    ], ids=["sc_spacing", "rows"])
+        # int() would truncate 24.5 and read true as 1
+        ({"rows": 24.5}, "rows"),
+        ({"realizations": True}, "realizations"),
+        ({"snr_db": True}, "snr_db"),
+    ], ids=["sc_spacing", "rows", "rows_fraction", "realizations_bool", "snr_db_bool"])
     def test_wrong_json_type_names_field(self, tmp_path, capsys, extra, field):
         cfg = _sim_config(tmp_path, **extra)
         assert cli.main(["simulate", "--config", cfg,
                          "--out", str(tmp_path / "d.bin")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfg = _sim_config(tmp_path, rows=24.0)
+        out = tmp_path / "d.bin"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert load_dataset(out)[0]["rows"] == 24
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHANNEL_CNTK_OUTDIR", str(tmp_path / "outs"))
@@ -182,7 +192,14 @@ class TestSweep:
                              ({"cntk": 3}, "cntk"),
                              ({"cntk": {"depth": [4]}}, "depth"),
                              ({"cntk": {"ridge": [1]}}, "ridge"),
-                             ({"cntk": {"dept": 2, "filter_sise": 5}}, "dept")):
+                             ({"cntk": {"dept": 2, "filter_sise": 5}}, "dept"),
+                             ({"cntk": {"depth": 2.5}}, "depth"),
+                             ({"cntk": {"filter_size": True}}, "filter_size"),
+                             ({"realizations": True}, "realizations"),
+                             ({"measure_time": "false"}, "measure_time"),
+                             # knobs of the kernel that no longer exist
+                             ({"cntk": {"padding": "extrapolate"}}, "padding"),
+                             ({"cntk": {"pos_slope": 1.0}}, "pos_slope")):
             cfg = self._cfg(tmp_path, **extra)
             assert cli.main(["sweep", "--config", cfg,
                              "--out", str(tmp_path / "x.csv")]) == 1
@@ -260,6 +277,17 @@ class TestKernelDump:
         assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--dataset", "d", "--method", "cntk", "--out", "o", "--padding", "zero"],
+    ["kernel-dump", "--dataset", "d", "--block", "0", "--out", "o", "--pos-slope", "1"],
+], ids=["padding", "pos_slope"])
+def test_removed_kernel_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cntk_defaults_come_from_cntk_config():
     # the flags of `estimate` and `kernel-dump` and an empty sweep `cntk`
     # block all give CntkConfig's own defaults
@@ -267,6 +295,6 @@ def test_cntk_defaults_come_from_cntk_config():
     for argv in (["estimate", "--dataset", "d", "--method", "cntk", "--out", "o"],
                  ["kernel-dump", "--dataset", "d", "--block", "0", "--out", "o"]):
         assert cli._cntk_cfg_from(vars(parser.parse_args(argv))) == CntkConfig()
-        args = parser.parse_args(argv + ["--depth", "4", "--padding", "zero"])
-        assert cli._cntk_cfg_from(vars(args)) == CntkConfig(depth=4, padding="zero")
+        args = parser.parse_args(argv + ["--depth", "4", "--neg-slope", "0.1"])
+        assert cli._cntk_cfg_from(vars(args)) == CntkConfig(depth=4, neg_slope=0.1)
     assert cli._cntk_cfg_from({}) == CntkConfig()

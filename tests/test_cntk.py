@@ -88,7 +88,7 @@ class TestMcDualOracle:
         assert a == b
 
 
-def _naive_patch_aggregate(field, dims, q, padding):
+def _naive_patch_aggregate(field, dims, q):
     """Definitional triple loop; the oracle patch_aggregate is checked against."""
     M, N = dims
     r = q // 2
@@ -100,11 +100,7 @@ def _naive_patch_aggregate(field, dims, q, padding):
             return k
         coords = (m1, n1, m2, n2)
         sizes = (M, N, M, N)
-        if padding == "zero":
-            if any(c < 0 or c >= s for c, s in zip(coords, sizes)):
-                return 0.0
-            return f4[m1, n1, m2, n2]
-        # extrapolate: 1-D odd reflection per axis, value = 2*edge - inner
+        # 1-D odd reflection per axis, value = 2*edge - inner
         val_idx = []
         weights = [(1.0, list(coords))]
         for ax, (c, s) in enumerate(zip(coords, sizes)):
@@ -145,20 +141,13 @@ class TestPatchAggregate:
     def test_constant_interior(self):
         M, N, q = 6, 6, 3
         field = np.full((36, 36), 2.5)
-        for padding in ("zero", "extrapolate"):
-            out = patch_aggregate(field, (M, N), q, padding)
-            center = 2 * N + 2  # interior pixel (2, 2)
-            assert abs(out[center, center] - 2.5) < 1e-12
-
-    def test_zero_padding_corner(self):
-        # 2x2 in-bounds offsets out of 9 at the corner of a 4x4 grid
-        field = np.full((16, 16), 3.0)
-        out = patch_aggregate(field, (4, 4), 3, padding="zero")
-        assert abs(out[0, 0] - 3.0 * 4 / 9) < 1e-12
+        out = patch_aggregate(field, (M, N), q)
+        center = 2 * N + 2  # interior pixel (2, 2)
+        assert abs(out[center, center] - 2.5) < 1e-12
 
     def test_extrapolate_preserves_constants_everywhere(self):
         field = np.full((16, 16), 3.0)
-        out = patch_aggregate(field, (4, 4), 3, padding="extrapolate")
+        out = patch_aggregate(field, (4, 4), 3)
         assert np.abs(out - 3.0).max() < 1e-12
 
     def test_matches_enumeration_oracle(self):
@@ -166,10 +155,9 @@ class TestPatchAggregate:
         M, N = 3, 4
         field = rng.standard_normal((M * N, M * N))
         field = field + field.T
-        for padding in ("zero", "extrapolate"):
-            fast = patch_aggregate(field, (M, N), 3, padding)
-            slow = _naive_patch_aggregate(field, (M, N), 3, padding)
-            assert np.abs(fast - slow).max() < 1e-12
+        fast = patch_aggregate(field, (M, N), 3)
+        slow = _naive_patch_aggregate(field, (M, N), 3)
+        assert np.abs(fast - slow).max() < 1e-12
 
     def test_identity_supported_field(self):
         # spike at an interior pixel pair spreads over its q x q diagonal
@@ -179,7 +167,7 @@ class TestPatchAggregate:
         i = 2 * N + 2
         j = 3 * N + 3
         field[i, j] = field[j, i] = 1.0
-        out = patch_aggregate(field, (M, N), q, padding="zero")
+        out = patch_aggregate(field, (M, N), q)
         support = np.argwhere(out != 0)
         for a, bidx in support:
             am, an = divmod(int(a), N)
@@ -199,8 +187,6 @@ class TestPatchAggregate:
             patch_aggregate(np.zeros((4, 4)), (2, 2), 2)
         with pytest.raises(ValueError):
             patch_aggregate(np.zeros((4, 5)), (2, 2), 3)
-        with pytest.raises(ValueError):
-            patch_aggregate(np.zeros((4, 4)), (2, 2), 3, padding="wrap")
 
 
 def _random_prior(rng, M=12, N=14):
@@ -274,7 +260,7 @@ class TestComputeCntk:
         rng = np.random.default_rng(2)
         basis = rng.standard_normal((1, 3, 3))
         prior = PriorTensor(basis)
-        cfg = CntkConfig(depth=1, filter_size=1, neg_slope=1.0, pos_slope=1.0)
+        cfg = CntkConfig(depth=1, filter_size=1, neg_slope=1.0)
         K = compute_cntk(prior, cfg)
         A = basis.reshape(1, 9)
         sigma0 = A.T @ A
@@ -294,7 +280,7 @@ class TestComputeCntk:
     def test_scale_equivariance_identity_slopes(self):
         rng = np.random.default_rng(4)
         prior = _random_prior(rng, 6, 5)
-        cfg = CntkConfig(depth=3, neg_slope=1.0, pos_slope=1.0)
+        cfg = CntkConfig(depth=3, neg_slope=1.0)
         K1 = compute_cntk(prior, cfg).gram
         scaled = PriorTensor(prior.planes * 3.0)
         K2 = compute_cntk(scaled, cfg).gram
@@ -306,16 +292,6 @@ class TestComputeCntk:
         planes = np.ones((2, 5, 6))
         K = compute_cntk(PriorTensor(planes), CntkConfig(depth=4)).gram
         assert np.abs(K - K[0, 0]).max() <= 1e-10 * abs(K[0, 0])
-
-    def test_constant_prior_zero_pad_symmetry(self):
-        # zero padding keeps the grid's mirror symmetries for constant priors
-        planes = np.ones((1, 4, 5))
-        K = compute_cntk(PriorTensor(planes),
-                         CntkConfig(depth=3, padding="zero")).gram
-        M, N = 4, 5
-        G = K.reshape(M, N, M, N)
-        flipped = G[::-1, :, ::-1, :]  # mirror both pixels in m
-        assert np.abs(G - flipped).max() < 1e-12
 
     def test_dual_grid_agreement_with_oracle(self):
         # spot a coarse rho x variance grid; the full grid runs in acceptance
@@ -345,15 +321,13 @@ def test_cntk_config_validation():
     with pytest.raises(ValueError):
         CntkConfig(filter_size=2)
     with pytest.raises(ValueError):
-        CntkConfig(neg_slope=2.0, pos_slope=1.0)
+        CntkConfig(neg_slope=2.0)
     with pytest.raises(ValueError):
-        CntkConfig(padding="circular")
-    assert CntkConfig().fingerprint() == "L8q3a0.05b1"
-    assert "zero" in CntkConfig(padding="zero").fingerprint()
+        CntkConfig(neg_slope=-0.1)
+    assert CntkConfig().fingerprint() == "L8q3a0.05"
 
 
-@pytest.mark.parametrize("padding", ["extrapolate", "zero"])
-def test_finite_width_ntk_relative_error(padding):
+def test_finite_width_ntk_relative_error():
     # the cosine of acceptance criterion 3 is blind to the kernel's scale and
     # to a missing layer's term; the relative Frobenius error sees both
     rng = np.random.default_rng(11)
@@ -363,10 +337,9 @@ def test_finite_width_ntk_relative_error(padding):
     vals = np.where(mask, rng.standard_normal((M, N))
                     + 1j * rng.standard_normal((M, N)), 0)
     prior = build_prior(SparseChannelEstimate(vals, mask))
-    cfg = CntkConfig(depth=2, filter_size=3, neg_slope=0.05, pos_slope=1.0,
-                     padding=padding)
+    cfg = CntkConfig(depth=2, filter_size=3, neg_slope=0.05)
     analytic = compute_cntk(prior, cfg).gram
     empirical = empirical_ntk(prior.planes, q=3, width=512, n_init=20, seed=0,
-                              neg_slope=0.05, pos_slope=1.0, mode=padding)
+                              neg_slope=0.05, pos_slope=1.0)
     rel = np.linalg.norm(empirical - analytic) / np.linalg.norm(analytic)
     assert rel <= 0.1
