@@ -1,7 +1,7 @@
 """Inspect the coordinate kernel of one resource block.
 
-Builds the prior feature planes from a sparse pilot image, runs the
-closed-form kernel recursion, and looks at what the Gram matrix encodes:
+Builds the estimator's prior feature planes from a sparse pilot image, runs
+the closed-form kernel recursion, and looks at what the Gram matrix encodes:
 pixel energies, correlation vs. displacement, and positive
 semi-definiteness. Also exports the estimator's kernel as CSV, mirroring
 the `channel-cntk kernel-dump` subcommand.
@@ -11,7 +11,6 @@ import numpy as np
 
 from channel_cntk import (
     NoiseSpec,
-    build_prior,
     compute_cntk,
     default_profile,
     estimation_kernel,
@@ -21,6 +20,7 @@ from channel_cntk import (
     preset_pattern,
     transmit,
 )
+from channel_cntk.cntk import build_estimation_prior
 
 M, N = 12, 14  # one resource block
 
@@ -30,9 +30,11 @@ rx = transmit(channel, tx, NoiseSpec(20.0, seed=7))
 pattern = preset_pattern("dense", M, N)
 sparse = ls_estimate(rx, tx, pattern)
 
-prior = build_prior(sparse)
-print(f"plain prior: {prior.n_channels} planes "
-      f"(re, im, mask, row coord, col coord)")
+# weighted mask, coordinate and bias planes only, so the kernel is fixed
+# by the pilot layout and ignores the pilot values
+prior = build_estimation_prior(sparse)
+print(f"estimation prior: {prior.n_channels} planes "
+      f"(mask, row coord, col coord, bias)")
 
 kernel = compute_cntk(prior)
 P = M * N
@@ -41,9 +43,8 @@ print(f"kernel: {P}x{P}, trace/P = {np.trace(kernel.gram) / P:.4f}, "
       f"min eig = {eigs[0]:.2e} (PSD)")
 print(f"symmetry defect: {np.abs(kernel.gram - kernel.gram.T).max():.2e}\n")
 
-# correlation against displacement from a center pixel
-# the estimator's kernel: weighted mask, coordinate and bias planes only,
-# so it is fixed by the pilot layout and ignores the pilot values
+# correlation against displacement from a center pixel, on the estimator's
+# kernel: the same recursion, normalized to unit diagonal
 norm = estimation_kernel(sparse, 0).gram
 center = (M // 2) * N + N // 2
 corr_row = [norm[center, (M // 2 + d) * N + N // 2] for d in range(0, 5)]

@@ -22,14 +22,9 @@ from .chansim import (
 from .cntk import (
     CntkConfig,
     CoordinateKernel,
-    PriorTensor,
     PriorWeights,
-    build_estimation_prior,
-    build_prior,
     compute_cntk,
-    leaky_relu_duals,
     normalize_kernel,
-    patch_aggregate,
 )
 from .evaluate import (
     METHOD_TAGS,
@@ -69,7 +64,6 @@ __all__ = [
     "NoiseSpec",
     "PATTERN_PRESETS",
     "PilotPattern",
-    "PriorTensor",
     "PriorWeights",
     "RegressionProblem",
     "ResourceGrid",
@@ -79,8 +73,6 @@ __all__ = [
     "SweepRow",
     "TdlProfile",
     "auto_ridge",
-    "build_estimation_prior",
-    "build_prior",
     "compute_cntk",
     "default_profile",
     "derive_seed",
@@ -89,7 +81,6 @@ __all__ = [
     "generate_channel",
     "kernel_regress",
     "knn_interpolate",
-    "leaky_relu_duals",
     "linear_interpolate",
     "ls_estimate",
     "make_method",
@@ -98,7 +89,6 @@ __all__ = [
     "nearest_interpolate",
     "nmse_db",
     "normalize_kernel",
-    "patch_aggregate",
     "preset_pattern",
     "run_sweep",
     "transmit",

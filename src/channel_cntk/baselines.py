@@ -1,8 +1,9 @@
 """Classical pilot interpolators: nearest neighbor, KNN, and separable linear.
 
 All three reproduce pilot values exactly at pilot cells. Distances are
-squared index distances d^2 = (dm)^2 + (dn)^2 on the grid; nearest-neighbor
-ties break to the smallest flattened (row-major) pilot index.
+squared index distances d^2 = (dm)^2 + (dn)^2 on the grid; distance ties
+break to the smallest flattened (row-major) pilot index. Nearest-neighbor is
+KNN with k = 1.
 """
 
 from __future__ import annotations
@@ -24,44 +25,42 @@ def _pilot_coords(sparse: SparseChannelEstimate):
 
 
 def _sq_distances(sparse: SparseChannelEstimate):
-    """All-cells x all-pilots squared index distances (int64)."""
+    """All-cells x all-pilots squared index distances (int64), plus pilot values."""
     M, N = sparse.shape
     pm, pn, pv = _pilot_coords(sparse)
-    cm, cn = np.meshgrid(np.arange(M), np.arange(N), indexing="ij")
-    dm = cm.reshape(-1, 1) - pm[None, :]
-    dn = cn.reshape(-1, 1) - pn[None, :]
-    return dm * dm + dn * dn, pv
+    dm = np.arange(M)[:, None] - pm[None, :]
+    dn = np.arange(N)[:, None] - pn[None, :]
+    d2 = (dm * dm)[:, None, :] + (dn * dn)[None, :, :]
+    return d2.reshape(M * N, pv.size), pv
 
 
 def nearest_interpolate(sparse: SparseChannelEstimate) -> np.ndarray:
     """Each cell copies the pilot with minimal squared index distance."""
-    M, N = sparse.shape
-    d2, pv = _sq_distances(sparse)
-    # argmin returns the first (lowest pilot flat index) among ties
-    choice = np.argmin(d2, axis=1)
-    return pv[choice].reshape(M, N)
+    return knn_interpolate(sparse, 1)
 
 
 def knn_interpolate(sparse: SparseChannelEstimate, k: int = 4) -> np.ndarray:
     """Inverse-distance-weighted mean of the k nearest pilots.
 
     Weights are 1/(d + IDW_EPS); neighbor sets resolve distance ties by
-    pilot flat index, so k=1 reproduces nearest_interpolate bit-exactly.
+    pilot flat index, so k=1 is nearest-neighbor interpolation.
     Pilot cells return their own value exactly.
     """
-    n_pilots = sparse.n_pilots
+    M, N = sparse.shape
+    key, pv = _sq_distances(sparse)
+    n_pilots = pv.size
     if not (1 <= k <= n_pilots):
         raise ValueError(f"k must be within [1, {n_pilots}], got {k}")
-    M, N = sparse.shape
-    d2, pv = _sq_distances(sparse)
-    # stable partial sort: ties ordered by pilot index
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    rows = np.arange(d2.shape[0])[:, None]
-    d = np.sqrt(d2[rows, order].astype(np.float64))
+    # one integer key ranks by distance, then by pilot (= flat) index
+    key *= n_pilots
+    key += np.arange(n_pilots)
+    key.partition(k - 1, axis=1)
+    key = np.sort(key[:, :k], axis=1)
+    d = np.sqrt((key // n_pilots).astype(np.float64))
     w = 1.0 / (d + IDW_EPS)
-    # normalizing first keeps the single-neighbor case bit-exact (w/w == 1)
+    # normalizing first keeps the single-neighbor case exact (w/w == 1)
     w /= w.sum(axis=1, keepdims=True)
-    est = (w * pv[order]).sum(axis=1).reshape(M, N)
+    est = (w * pv[key % n_pilots]).sum(axis=1).reshape(M, N)
     est[sparse.mask] = sparse.values[sparse.mask]
     return est
 

@@ -69,9 +69,11 @@ _KIND_NAMES = {int: "an integer", float: "a number", list: "a list", bool: "true
 
 def _checked(value, kind, field: str):
     """`kind(value)` for a config value, else a CliError naming `field`: true/false
-    fits only bool, a fraction never int; float() also reads "inf" and numeric strings."""
+    fits only bool, a fraction never int, and a string never list (only a list or
+    tuple does); float() also reads "inf" and numeric strings."""
     try:
-        if isinstance(value, bool) != (kind is bool):
+        if isinstance(value, bool) != (kind is bool) or (
+                kind is list and not isinstance(value, (list, tuple))):
             raise TypeError
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
@@ -245,7 +247,8 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     if "seed" not in cfg:
         raise CliError("missing required config field: seed")
-    methods = args.methods.split(",") if args.methods else cfg.get("methods", ["cntk"])
+    methods = (args.methods.split(",") if args.methods
+               else _checked(cfg.get("methods", ["cntk"]), list, "methods"))
     for m in methods:
         if m not in METHOD_TAGS:
             raise CliError(f"unknown method {m!r}; valid methods: {', '.join(METHOD_TAGS)}")

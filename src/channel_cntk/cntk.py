@@ -9,13 +9,11 @@ recursion per layer is a patchwise covariance aggregation (the padded
 convolution), then the Gaussian dual of the activation, accumulating the
 tangent kernel alongside the covariance.
 
-The input is a small stack of real feature planes built from the sparse
-pilot image. `build_prior` produces the plain 5-plane stack (values, mask,
-coordinates); `build_estimation_prior` produces the weighted 4-plane stack
-(mask, coordinates, constant bias) the channel estimator uses, where the
-plane amplitudes set the kernel's length scales. The estimation stack
-carries no pilot values, so the estimator's kernel depends only on the
-pilot mask.
+The input is a small stack of real feature planes. `build_estimation_prior`
+builds the weighted 4-plane stack (mask, coordinates, constant bias) the
+channel estimator uses, where the plane amplitudes set the kernel's length
+scales. The stack carries no pilot values, so the estimator's kernel
+depends only on the pilot mask.
 """
 
 from __future__ import annotations
@@ -84,11 +82,8 @@ class PriorWeights:
 class PriorTensor:
     """Real C x M x N feature stack fed to the kernel recursion.
 
-    The plain construction (`build_prior`) has C = 5 planes: pilot real and
-    imaginary values jointly scaled to combined max abs 1, the 0/1 pilot
-    mask, and normalized coordinates m/(M-1), n/(N-1). The estimation
-    construction drops the value planes, appends a constant bias plane
-    (C = 4) and weights each plane.
+    `build_estimation_prior` fills C = 4 weighted planes; `compute_cntk`
+    accepts any stack of finite planes.
     """
 
     planes: np.ndarray  # float64, shape (C, M, N)
@@ -136,36 +131,15 @@ def _coordinate_planes(M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
             np.repeat(cols[None, :], M, axis=0))
 
 
-def build_prior(sparse: SparseChannelEstimate) -> PriorTensor:
-    """Assemble the plain 5-plane prior for a sparse pilot image.
-
-    The real/imag planes share one scale factor (their combined max absolute
-    value becomes 1); an all-zero pilot image is left unscaled. Coordinate
-    planes span [0, 1], or 0 when the dimension is a single cell.
-    """
-    if sparse.n_pilots < 1:
-        raise ValueError("prior needs at least one pilot")
-    M, N = sparse.shape
-    re = sparse.values.real
-    im = sparse.values.imag
-    scale = max(np.abs(re).max(), np.abs(im).max())
-    if scale == 0.0:
-        scale = 1.0
-    row_plane, col_plane = _coordinate_planes(M, N)
-    planes = np.stack([re / scale, im / scale, sparse.mask.astype(np.float64),
-                       row_plane, col_plane])
-    return PriorTensor(planes)
-
-
 def build_estimation_prior(sparse: SparseChannelEstimate,
                            weights: PriorWeights = PriorWeights()) -> PriorTensor:
     """Assemble the weighted 4-plane prior used by the channel estimator.
 
     Planes, each multiplied by its weight: the 0/1 pilot mask, the row and
-    column coordinates of `build_prior`, and a constant bias plane. Only the
-    pilot layout of `sparse` is read, never its values, so the kernel built
-    on this prior is fixed by the mask and the estimator is linear in the
-    pilots.
+    column coordinates m/(M-1) and n/(N-1) (0 along a dimension of one
+    cell), and a constant bias plane. Only the pilot layout of `sparse` is
+    read, never its values, so the kernel built on this prior is fixed by
+    the mask and the estimator is linear in the pilots.
     """
     if sparse.n_pilots < 1:
         raise ValueError("prior needs at least one pilot")

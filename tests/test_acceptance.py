@@ -19,28 +19,28 @@ from channel_cntk import (
     RegressionProblem,
     ResourceGrid,
     SparseChannelEstimate,
-    build_prior,
     compute_cntk,
     default_profile,
     estimate_channel_cntk,
+    estimation_kernel,
     generate_channel,
     kernel_regress,
     knn_interpolate,
-    leaky_relu_duals,
     linear_interpolate,
     ls_estimate,
     make_pilot_pattern,
     nearest_interpolate,
     nmse_db,
-    normalize_kernel,
     preset_pattern,
     run_sweep,
     transmit,
 )
 from channel_cntk import cli
+from channel_cntk.cntk import leaky_relu_duals
 
 from dual_oracle import mc_dual_oracle
 from ntk_finite_width import cosine_similarity, empirical_ntk
+from value_prior import value_prior
 
 SNRS = [0.0, 10.0, 20.0, 30.0]
 REALIZATIONS = 20
@@ -84,7 +84,7 @@ def test_criterion_2_kernel_validity():
         mask[rng.integers(M), rng.integers(N)] = True
         vals = np.where(mask, rng.standard_normal((M, N))
                         + 1j * rng.standard_normal((M, N)), 0)
-        K = compute_cntk(build_prior(SparseChannelEstimate(vals, mask)), cfg).gram
+        K = compute_cntk(value_prior(SparseChannelEstimate(vals, mask)), cfg).gram
         assert np.abs(K - K.T).max() <= 1e-10 * np.abs(K).max(), trial
         min_eig = np.linalg.eigvalsh(K)[0]
         assert min_eig >= -1e-8 * np.trace(K) / P, trial
@@ -94,7 +94,7 @@ def test_criterion_2_kernel_validity():
 
 
 def test_criterion_3_finite_width_agreement():
-    """Analytic kernel matches the finite-difference empirical NTK."""
+    """Analytic kernel matches the exact-gradient empirical NTK at width 512."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
     M = N = 4
@@ -102,7 +102,7 @@ def test_criterion_3_finite_width_agreement():
     mask[[0, 1, 2, 3, 0, 2], [0, 2, 1, 3, 3, 3]] = True
     vals = np.where(mask, rng.standard_normal((M, N))
                     + 1j * rng.standard_normal((M, N)), 0)
-    prior = build_prior(SparseChannelEstimate(vals, mask))
+    prior = value_prior(SparseChannelEstimate(vals, mask))
     cfg = CntkConfig(depth=2, filter_size=3, neg_slope=0.05)
     analytic = compute_cntk(prior, cfg).gram
     empirical = empirical_ntk(prior.planes, q=3, width=512, n_init=20, seed=0,
@@ -127,8 +127,8 @@ def test_criterion_4_interpolation_exactness():
     resid = np.abs(imp.h_hat[pat.mask] - vals[pat.mask]).max()
     assert resid <= 1e-6 * np.abs(vals[pat.mask]).max()
     # the regression itself (before the observed-cell passthrough) also
-    # reproduces the observations on this well-conditioned kernel
-    kernel = normalize_kernel(compute_cntk(build_prior(sp)))
+    # reproduces the observations on the estimator's own kernel
+    kernel = estimation_kernel(sp, 0)
     obs = np.flatnonzero(pat.mask.reshape(-1))
     y = vals.reshape(-1)[obs]
     reg_out = kernel_regress(RegressionProblem(kernel, obs, y, 0.0))

@@ -21,6 +21,15 @@ def _random_sparse(rng, M=9, N=8, density=0.25):
     return SparseChannelEstimate(vals, mask)
 
 
+def _lattice_inputs(rng):
+    """Dense- and sparse-preset 24x14 slots: lattices, where distance ties are common."""
+    for preset in ("dense", "sparse"):
+        pat = preset_pattern(preset, 24, 14)
+        vals = np.where(pat.mask, rng.standard_normal((24, 14))
+                        + 1j * rng.standard_normal((24, 14)), 0)
+        yield SparseChannelEstimate(vals, pat.mask)
+
+
 def _naive_nearest(sp):
     M, N = sp.shape
     pm, pn = np.nonzero(sp.mask)
@@ -87,6 +96,8 @@ class TestNearest:
         for _ in range(4):
             sp = _random_sparse(rng)
             assert np.array_equal(nearest_interpolate(sp), _naive_nearest(sp))
+        for sp in _lattice_inputs(rng):
+            assert np.array_equal(nearest_interpolate(sp), _naive_nearest(sp))
 
 
 class TestKnn:
@@ -114,6 +125,10 @@ class TestKnn:
             fast = knn_interpolate(sp, 3)
             slow = _naive_knn(sp, 3)
             assert np.abs(fast - slow).max() < 1e-12
+        for sp in _lattice_inputs(rng):
+            for k in range(1, 6):
+                fast = knn_interpolate(sp, k)
+                assert np.abs(fast - _naive_knn(sp, k)).max() < 1e-12, k
 
     def test_invalid_k(self):
         rng = np.random.default_rng(4)

@@ -197,6 +197,10 @@ class TestSweep:
                              ({"cntk": {"filter_size": True}}, "filter_size"),
                              ({"realizations": True}, "realizations"),
                              ({"measure_time": "false"}, "measure_time"),
+                             # a string or number where a list belongs
+                             ({"snr_dbs": "10"}, "snr_dbs"),
+                             ({"patterns": "dense"}, "patterns"),
+                             ({"methods": 3}, "methods"),
                              # knobs of the kernel that no longer exist
                              ({"cntk": {"padding": "extrapolate"}}, "padding"),
                              ({"cntk": {"pos_slope": 1.0}}, "pos_slope")):

@@ -5,19 +5,21 @@ import pytest
 
 from channel_cntk import (
     CntkConfig,
-    PriorTensor,
     PriorWeights,
     SparseChannelEstimate,
-    build_estimation_prior,
-    build_prior,
     compute_cntk,
-    leaky_relu_duals,
     normalize_kernel,
+)
+from channel_cntk.cntk import (
+    PriorTensor,
+    build_estimation_prior,
+    leaky_relu_duals,
     patch_aggregate,
 )
 
 from dual_oracle import mc_dual_oracle
 from ntk_finite_width import empirical_ntk
+from value_prior import value_prior
 
 
 class TestLeakyReluDuals:
@@ -194,48 +196,21 @@ def _random_prior(rng, M=12, N=14):
     mask[0, 0] = True  # at least one pilot
     vals = np.where(mask, rng.standard_normal((M, N))
                     + 1j * rng.standard_normal((M, N)), 0)
-    return build_prior(SparseChannelEstimate(vals, mask))
+    return value_prior(SparseChannelEstimate(vals, mask))
 
 
 class TestBuildPrior:
-    def test_all_zero_values_scale_one(self):
-        mask = np.ones((3, 3), bool)
-        prior = build_prior(SparseChannelEstimate(np.zeros((3, 3), complex), mask))
-        assert np.all(prior.planes[0] == 0) and np.all(prior.planes[1] == 0)
-
-    def test_single_pilot_normalization(self):
-        mask = np.zeros((2, 2), bool)
-        mask[0, 0] = True
-        vals = np.where(mask, 2.0 + 0j, 0)
-        prior = build_prior(SparseChannelEstimate(vals, mask))
-        assert np.array_equal(prior.planes[0], [[1, 0], [0, 0]])  # 2 / scale 2
-        assert np.all(prior.planes[1] == 0)
-
-    def test_full_mask_plane(self):
-        mask = np.ones((3, 4), bool)
-        vals = np.full((3, 4), 1j)
-        prior = build_prior(SparseChannelEstimate(vals, mask))
-        assert np.all(prior.planes[2] == 1.0)
-
-    def test_plane_count_and_coordinate_range(self):
-        rng = np.random.default_rng(1)
-        prior = _random_prior(rng)
-        assert prior.n_channels == 5
-        assert prior.planes[3].min() == 0.0 and prior.planes[3].max() == 1.0
-        assert prior.planes[4].min() == 0.0 and prior.planes[4].max() == 1.0
-        # joint scaling: combined max abs of value planes is 1
-        assert abs(max(np.abs(prior.planes[0]).max(),
-                       np.abs(prior.planes[1]).max()) - 1.0) < 1e-12
+    """Edge cases of the one prior builder, `build_estimation_prior`."""
 
     def test_single_row_coordinate_zero(self):
         mask = np.ones((1, 4), bool)
-        prior = build_prior(SparseChannelEstimate(np.ones((1, 4), complex), mask))
-        assert np.all(prior.planes[3] == 0.0)
+        prior = build_estimation_prior(SparseChannelEstimate(np.ones((1, 4), complex), mask))
+        assert np.all(prior.planes[1] == 0.0)
 
     def test_empty_pilots_error(self):
         mask = np.zeros((2, 2), bool)
         with pytest.raises(ValueError, match="pilot"):
-            build_prior(SparseChannelEstimate(np.zeros((2, 2), complex), mask))
+            build_estimation_prior(SparseChannelEstimate(np.zeros((2, 2), complex), mask))
 
 
 def test_build_estimation_prior_planes():
@@ -336,7 +311,7 @@ def test_finite_width_ntk_relative_error():
     mask[[0, 1, 2, 3, 0, 2], [0, 2, 1, 3, 3, 3]] = True
     vals = np.where(mask, rng.standard_normal((M, N))
                     + 1j * rng.standard_normal((M, N)), 0)
-    prior = build_prior(SparseChannelEstimate(vals, mask))
+    prior = value_prior(SparseChannelEstimate(vals, mask))
     cfg = CntkConfig(depth=2, filter_size=3, neg_slope=0.05)
     analytic = compute_cntk(prior, cfg).gram
     empirical = empirical_ntk(prior.planes, q=3, width=512, n_init=20, seed=0,
