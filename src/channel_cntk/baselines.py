@@ -4,6 +4,15 @@ All three reproduce pilot values exactly at pilot cells. Distances are
 squared index distances d^2 = (dm)^2 + (dn)^2 on the grid; distance ties
 break to the smallest flattened (row-major) pilot index. Nearest-neighbor is
 KNN with k = 1.
+
+KNN never builds the all-cells x all-pilots distance table. For a cell in
+row m it ranks, in each pilot column, only the k pilots in the rows before m
+and the k in rows m and after, found by binary search on that column's
+sorted pilot rows. This finds the exact k nearest: a pilot among a cell's k
+nearest overall is among the k nearest in its own column, and within one
+column the ranking is by |dm| and then by row (the lower flat index is the
+lower row), so those k sit within k places either side of row m. Memory is
+O(cells x pilot columns x k) instead of O(cells x pilots).
 """
 
 from __future__ import annotations
@@ -24,16 +33,6 @@ def _pilot_coords(sparse: SparseChannelEstimate):
     return mm, nn, sparse.values[mm, nn]
 
 
-def _sq_distances(sparse: SparseChannelEstimate):
-    """All-cells x all-pilots squared index distances (int64), plus pilot values."""
-    M, N = sparse.shape
-    pm, pn, pv = _pilot_coords(sparse)
-    dm = np.arange(M)[:, None] - pm[None, :]
-    dn = np.arange(N)[:, None] - pn[None, :]
-    d2 = (dm * dm)[:, None, :] + (dn * dn)[None, :, :]
-    return d2.reshape(M * N, pv.size), pv
-
-
 def nearest_interpolate(sparse: SparseChannelEstimate) -> np.ndarray:
     """Each cell copies the pilot with minimal squared index distance."""
     return knn_interpolate(sparse, 1)
@@ -47,13 +46,30 @@ def knn_interpolate(sparse: SparseChannelEstimate, k: int = 4) -> np.ndarray:
     Pilot cells return their own value exactly.
     """
     M, N = sparse.shape
-    key, pv = _sq_distances(sparse)
+    pm, pn, pv = _pilot_coords(sparse)
     n_pilots = pv.size
     if not (1 <= k <= n_pilots):
         raise ValueError(f"k must be within [1, {n_pilots}], got {k}")
+    # pilots grouped by column, rows ascending in each (stable sort); column
+    # c's rows are offset by c * M so that one search serves every column
+    cols, counts = np.unique(pn, return_counts=True)
+    by_col = np.argsort(pn, kind="stable")
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    col_rows = np.repeat(np.arange(cols.size) * M, counts) + pm[by_col]
+    # candidates of row m: in each pilot column, the k pilots in rows before
+    # m and the k in rows m and after; slots outside the column get the
+    # largest key, and at least min(n, 2k) >= k candidates are real pilots
+    pos = np.searchsorted(col_rows, np.arange(M)[:, None] + np.arange(cols.size) * M)
+    idx = pos[:, :, None] + np.arange(-k, k)
+    outside = (idx < starts[:, None]) | (idx >= ends[:, None])
+    cand = by_col[np.clip(idx, 0, n_pilots - 1)]
+    dm = np.arange(M)[:, None, None] - pm[cand]
+    dn = np.arange(N)[:, None] - cols
     # one integer key ranks by distance, then by pilot (= flat) index
-    key *= n_pilots
-    key += np.arange(n_pilots)
+    key = (dm * dm * n_pilots + cand)[:, None] + (dn * dn * n_pilots)[None, :, :, None]
+    np.copyto(key, np.iinfo(np.int64).max, where=outside[:, None])
+    key = key.reshape(M * N, -1)
     key.partition(k - 1, axis=1)
     key = np.sort(key[:, :k], axis=1)
     d = np.sqrt((key // n_pilots).astype(np.float64))

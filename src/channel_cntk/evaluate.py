@@ -154,6 +154,10 @@ def run_sweep(methods: Sequence[str], snr_list: Sequence[float],
         raise ValueError("realizations must be >= 1")
     if not methods:
         raise ValueError("at least one method required")
+    if len(snr_list) == 0:
+        raise ValueError("at least one SNR required")
+    if len(patterns) == 0:
+        raise ValueError("at least one pattern required")
     resolved = [_resolve_pattern(p, rows, cols) for p in patterns]
 
     def method_fn(tag: str, snr: float):

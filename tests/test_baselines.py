@@ -1,5 +1,7 @@
 """Tests for the classical interpolators against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,41 @@ def _naive_knn(sp, k):
     return out
 
 
+def _full_table_knn(sp, k):
+    """KNN ranked on the all-cells x all-pilots table of keys d2 * n + j.
+
+    The same integer key, partition, sort and weight arithmetic as
+    knn_interpolate, without its per-column candidate search, so the two
+    must agree bit for bit.
+    """
+    M, N = sp.shape
+    pm, pn = np.nonzero(sp.mask)
+    pv = sp.values[pm, pn]
+    n = pv.size
+    dm = np.arange(M)[:, None] - pm
+    dn = np.arange(N)[:, None] - pn
+    key = ((dm * dm)[:, None, :] + (dn * dn)[None, :, :]).reshape(M * N, n)
+    key = key * n + np.arange(n)
+    key.partition(k - 1, axis=1)
+    key = np.sort(key[:, :k], axis=1)
+    d = np.sqrt((key // n).astype(np.float64))
+    w = 1.0 / (d + IDW_EPS)
+    w /= w.sum(axis=1, keepdims=True)
+    est = (w * pv[key % n]).sum(axis=1).reshape(M, N)
+    est[sp.mask] = sp.values[sp.mask]
+    return est
+
+
+def _erased_lattices(rng, M):
+    """Dense, medium and sparse M x 14 lattices with 40% of their pilots erased."""
+    for preset in ("dense", "medium", "sparse"):
+        pat = preset_pattern(preset, M, 14)
+        mask = pat.mask & (rng.random((M, 14)) >= 0.4)
+        vals = np.where(mask, rng.standard_normal((M, 14))
+                        + 1j * rng.standard_normal((M, 14)), 0)
+        yield SparseChannelEstimate(vals, mask)
+
+
 class TestNearest:
     def test_pilot_cell_keeps_own_value(self):
         rng = np.random.default_rng(0)
@@ -129,6 +166,46 @@ class TestKnn:
             for k in range(1, 6):
                 fast = knn_interpolate(sp, k)
                 assert np.abs(fast - _naive_knn(sp, k)).max() < 1e-12, k
+
+    def test_bit_identical_to_full_table_ranking(self):
+        rng = np.random.default_rng(7)
+        cases = []
+        # random masks, one-row and one-column grids among them
+        for M, N in ((1, 1), (1, 9), (9, 1), (2, 11), (7, 5), (9, 8), (11, 11)):
+            for density in (0.2, 0.6):
+                cases.append(_random_sparse(rng, M, N, density))
+        # a single pilot column
+        mask = np.zeros((24, 14), bool)
+        mask[::3, 5] = True
+        cases.append(SparseChannelEstimate(np.where(mask, 1 + 2j, 0), mask))
+        # every column holds fewer pilots than k = 8, the mask holds 12
+        mask = np.zeros((24, 14), bool)
+        mask[[0, 3, 9, 17, 23], [0, 4, 4, 8, 13]] = True
+        mask[[5, 12, 20], 2] = mask[[1, 7, 15, 22], 11] = True
+        cases.append(SparseChannelEstimate(
+            np.where(mask, rng.standard_normal((24, 14)) + 0j, 0), mask))
+        for sp in cases:
+            for k in sorted({*range(1, min(8, sp.n_pilots) + 1), sp.n_pilots}):
+                assert np.array_equal(knn_interpolate(sp, k),
+                                      _full_table_knn(sp, k)), (sp.shape, k)
+        for M in (24, 360):
+            for sp in _erased_lattices(rng, M):
+                for k in range(1, 9):
+                    assert np.array_equal(knn_interpolate(sp, k),
+                                          _full_table_knn(sp, k)), (M, k)
+
+    def test_dense_slot_peak_memory(self):
+        # the search keeps O(cells x pilot columns x k) keys, never the
+        # cells x pilots table (about 29 MB of int64 on this slot)
+        pat = preset_pattern("dense", 360, 14)
+        sp = SparseChannelEstimate(np.where(pat.mask, 1 - 1j, 0), pat.mask)
+        tracemalloc.start()
+        try:
+            knn_interpolate(sp, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
     def test_invalid_k(self):
         rng = np.random.default_rng(4)

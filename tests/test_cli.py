@@ -201,6 +201,9 @@ class TestSweep:
                              ({"snr_dbs": "10"}, "snr_dbs"),
                              ({"patterns": "dense"}, "patterns"),
                              ({"methods": 3}, "methods"),
+                             # an empty sweep axis
+                             ({"snr_dbs": []}, "SNR"),
+                             ({"patterns": []}, "pattern"),
                              # knobs of the kernel that no longer exist
                              ({"cntk": {"padding": "extrapolate"}}, "padding"),
                              ({"cntk": {"pos_slope": 1.0}}, "pos_slope")):

@@ -108,6 +108,12 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="method"):
             run_sweep([], [10.0], ["dense"], 1, seed=1)
 
+    def test_empty_sweep_lists_rejected(self):
+        with pytest.raises(ValueError, match="at least one SNR required"):
+            run_sweep(["nearest"], [], ["dense"], 1, seed=1)
+        with pytest.raises(ValueError, match="at least one pattern required"):
+            run_sweep(["nearest"], [10.0], [], 1, seed=1)
+
     def test_csv_format(self):
         res = run_sweep(["nearest"], [12.5], ["dense"], 1, seed=4,
                         rows=24, cols=14, measure_time=False)
