@@ -46,7 +46,6 @@ from .grid import (
 from .imputer import (
     ImputedChannel,
     RegressionProblem,
-    SingularKernelError,
     auto_ridge,
     estimate_channel_cntk,
     estimation_kernel,
@@ -67,7 +66,6 @@ __all__ = [
     "PriorWeights",
     "RegressionProblem",
     "ResourceGrid",
-    "SingularKernelError",
     "SparseChannelEstimate",
     "SweepResult",
     "SweepRow",

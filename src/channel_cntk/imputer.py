@@ -8,15 +8,19 @@ of the output. `_band_masks` is the one place a slot is cut into bands.
 A band's kernel is the normalized CNTK over the weighted estimation prior,
 which holds the band's pilot mask and coordinates but no pilot values;
 `estimation_kernel(sparse, band)` returns it for one band. For a fixed mask
-and ridge the estimator is therefore a linear map from pilots to grid, so
-the unit of work is a distinct band mask: its bands share one kernel, ridge
-choice, Cholesky factorization and `kernel_regress` call (each band's
-centered pilots are one column), and `solve_s` in their diagnostics is that
-group's factor-and-solve time. The kernel is cached per process, keyed on
-the band mask, `CntkConfig` and `PriorWeights`, in a bounded cache of
-KERNEL_CACHE_SIZE entries, so a receiver with a fixed pilot layout builds
-it once; the ridge choice, factorization and condition estimate are made on
-every call. Centering on the band's pilot mean reproduces constants
+and ridge the estimator is therefore a linear map from pilots to grid, the
+smoother W = K_ao (K_oo + ridge*I)^-1, so the unit of work is a distinct
+band mask: its bands share one kernel, ridge choice, eigendecomposition of
+K_oo and `kernel_regress` call (each band's centered pilots are one column),
+and `solve_s` in their diagnostics is that group's eigendecomposition-and-
+solve time. The kernel is cached per process, keyed on the band mask,
+`CntkConfig` and `PriorWeights`, in a bounded cache of KERNEL_CACHE_SIZE
+entries, so a receiver with a fixed pilot layout builds it once; the ridge
+choice, eigendecomposition and condition number are made on every call.
+A singular or slightly indefinite K_oo needs no retry: when its smallest
+eigenvalue plus the ridge falls below EIG_FLOOR_REL * trace(K_oo)/|obs|,
+the ridge is raised to lift that eigenvalue to the floor, and the ridge
+used is reported. Centering on the band's pilot mean reproduces constants
 exactly. With ridge = 0 the estimator runs in strict interpolation mode and
 observed cells keep their observed values verbatim; with ridge > 0 the
 ridge deliberately smooths observed cells too.
@@ -30,8 +34,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
 
 from .cntk import (
     CntkConfig,
@@ -46,20 +48,15 @@ from .grid import SUBCARRIERS_PER_RB, SparseChannelEstimate, _locked
 #: Default ridge: relative jitter against the observed-block Gram trace.
 DEFAULT_RIDGE_REL = 1e-8
 
-#: Escalation ladder for singular observed-block Gram matrices.
-LADDER_BASE_REL = 1e-10
-LADDER_FACTOR = 10.0
-LADDER_MAX_RETRIES = 6
+#: Eigenvalue floor of the regularized observed-block Gram matrix, relative
+#: to its mean diagonal trace(K_oo)/|obs|.
+EIG_FLOOR_REL = 1e-10
 
 #: Kernels kept across calls. Real callers alternate between at most 2 band
 #: masks (`run_sweep` over the dense and sparse presets); each resident
 #: 12 x 14 kernel costs ~0.2 MB, and keeping all 30 of a slot whose band
 #: masks all differ cost +9.5% of peak RSS.
 KERNEL_CACHE_SIZE = 4
-
-
-class SingularKernelError(ValueError):
-    """Raised when the regularized observed-block Gram matrix cannot be factorized."""
 
 
 @dataclass(frozen=True)
@@ -89,9 +86,10 @@ class RegressionProblem:
 
 @dataclass(frozen=True)
 class BlockDiagnostics:
-    """Per-block solver health: row band, ridge used, condition estimate, solve time.
+    """Per-block solver health: row band, ridge used, condition number, solve time.
 
-    The bands of one mask group share its ridge, condition and `solve_s`."""
+    `solve_s` is the time of the eigendecomposition and solve. The bands of
+    one mask group share its ridge, condition and `solve_s`."""
 
     block_index: int
     ridge: float
@@ -110,38 +108,33 @@ class ImputedChannel:
         object.__setattr__(self, "h_hat", _locked(self.h_hat, np.complex128))
 
 
-def kernel_regress(problem: RegressionProblem) -> np.ndarray:
-    """Solve Hhat = K_ao (K_oo + ridge*I)^-1 y over all P pixels.
+def kernel_regress(problem: RegressionProblem) -> tuple[np.ndarray, float, float]:
+    """Solve Hhat = K_ao (K_oo + lam*I)^-1 y over all P pixels from one `eigh(K_oo)`.
 
-    y is (n,) or (n, B) and Hhat is (P,) or (P, B): the real and imaginary
-    parts of every column share one Cholesky factorization. Raises
-    SingularKernelError when the regularized observed-block Gram matrix is
-    not numerically positive definite; callers may retry with a larger ridge.
+    y is (n,) or (n, B) and Hhat is (P,) or (P, B). With K_oo = U diag(e) U^T,
+    lam is `problem.ridge` unless e_min + ridge falls below the floor
+    EIG_FLOOR_REL * trace(K_oo)/n (at least the smallest normal float); then
+    lam = floor - e_min, so a singular or indefinite K_oo still gives a
+    finite estimate. Returns (Hhat, lam, (e_max + lam) / (e_min + lam)).
     """
     obs = problem.observed_idx
     gram = problem.kernel.gram
     k_oo = gram[np.ix_(obs, obs)]
-    k_ao = gram[:, obs]
-    reg = k_oo + problem.ridge * np.eye(obs.size)
-    try:
-        factor = cho_factor(reg, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularKernelError(
-            f"observed-block Gram matrix is singular at ridge={problem.ridge:g}"
-        ) from exc
-    # Two right-hand sides per solve, as for one band: OpenBLAS multithreads a
-    # many-column triangular solve, and on 2 cores waking its threads took
-    # ~15 ms, against ~1 ms for the 30 two-column solves of a dense slot.
-    # dpotrs is the LAPACK routine cho_solve calls, without cho_solve's ~10 us
-    # of per-call checks; the values were checked finite in RegressionProblem.
-    cols = []
-    for col in problem.observed_vals.reshape(obs.size, -1).T:
-        x, info = dpotrs(factor[0], np.column_stack([col.real, col.imag]), lower=factor[1])
-        if info != 0:
-            raise ValueError(f"dpotrs: illegal value in argument {-info}")
-        cols.append(k_ao @ x)
+    e, U = np.linalg.eigh(k_oo)  # ascending eigenvalues
+    floor = max(EIG_FLOOR_REL * float(np.trace(k_oo)) / obs.size, np.finfo(np.float64).tiny)
+    lam = float(max(problem.ridge, floor - e[0]))
+    smoother = gram[:, obs] @ ((U / (e + lam)) @ U.T)
+    # Two right-hand sides per product, as for one band: a many-column product
+    # sums in an order that depends on its column count, so a band's bits
+    # would depend on how many bands share its mask; and OpenBLAS multithreads
+    # large products, where on 2 cores one 60-column product over a 168-pilot
+    # band took ~7 ms, mostly waking threads, against 0.25 ms for 30
+    # two-column products.
+    cols = [smoother @ np.column_stack([col.real, col.imag])
+            for col in problem.observed_vals.reshape(obs.size, -1).T]
     out = np.stack(cols, axis=1)
-    return (out[..., 0] + 1j * out[..., 1]).reshape((-1,) + problem.observed_vals.shape[1:])
+    est = (out[..., 0] + 1j * out[..., 1]).reshape((-1,) + problem.observed_vals.shape[1:])
+    return est, lam, float((e[-1] + lam) / (e[0] + lam))
 
 
 def auto_ridge(snr_db: float) -> float:
@@ -161,29 +154,6 @@ def default_ridge(kernel: CoordinateKernel, obs_idx: np.ndarray) -> float:
     """Relative jitter: DEFAULT_RIDGE_REL * trace(K_oo) / |obs|."""
     k_oo_diag = np.diag(kernel.gram)[obs_idx]
     return DEFAULT_RIDGE_REL * float(k_oo_diag.sum()) / obs_idx.size
-
-
-def _regress_with_escalation(kernel: CoordinateKernel, obs_idx: np.ndarray,
-                             obs_vals: np.ndarray, ridge: float) -> tuple[np.ndarray, float]:
-    """kernel_regress with the ridge escalation ladder; returns (result, ridge used).
-
-    On factorization failure the ridge is raised to
-    max(ridge, LADDER_BASE_REL * trace(K_oo)/|obs|) and then multiplied by
-    LADDER_FACTOR per further retry, up to LADDER_MAX_RETRIES retries.
-    """
-    k_oo_diag = np.diag(kernel.gram)[obs_idx]
-    floor = LADDER_BASE_REL * float(k_oo_diag.sum()) / obs_idx.size
-    lam = ridge
-    for attempt in range(LADDER_MAX_RETRIES + 1):
-        try:
-            problem = RegressionProblem(kernel, obs_idx, obs_vals, lam)
-            return kernel_regress(problem), lam
-        except SingularKernelError:
-            if attempt == LADDER_MAX_RETRIES:
-                raise
-            lam = max(lam, floor, np.finfo(np.float64).tiny) if attempt == 0 \
-                else lam * LADDER_FACTOR
-    raise AssertionError("unreachable")
 
 
 def _band_masks(sparse: SparseChannelEstimate) -> np.ndarray:
@@ -259,13 +229,12 @@ def estimate_channel_cntk(sparse: SparseChannelEstimate,
         vals = values[np.ix_(members, obs_idx)]  # C order: each band mean sums as alone
         mean = vals.mean(axis=1, keepdims=True)
         t0 = time.perf_counter()
-        flat, lam_used = _regress_with_escalation(kernel, obs_idx, (vals - mean).T, lam)
+        flat, lam_used, cond = kernel_regress(
+            RegressionProblem(kernel, obs_idx, (vals - mean).T, lam))
         solve_s = time.perf_counter() - t0
         out[members] = flat.T + mean
         if ridge == 0:
             out[np.ix_(members, obs_idx)] = vals
-        reg = kernel.gram[np.ix_(obs_idx, obs_idx)] + lam_used * np.eye(obs_idx.size)
-        cond = float(np.linalg.cond(reg))
         for bi in members:
             diags[bi] = BlockDiagnostics(bi, lam_used, cond, solve_s)
     return ImputedChannel(out.reshape(sparse.shape), tuple(diags))

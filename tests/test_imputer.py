@@ -1,5 +1,10 @@
 """Tests for kernel ridge regression and the blockwise imputation pipeline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +14,6 @@ from channel_cntk import (
     CoordinateKernel,
     PriorWeights,
     RegressionProblem,
-    SingularKernelError,
     SparseChannelEstimate,
     auto_ridge,
     estimate_channel_cntk,
@@ -48,7 +52,7 @@ class TestKernelRegress:
         rng = np.random.default_rng(0)
         K = _random_psd_kernel(rng, 3, 3)
         y = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        out = kernel_regress(RegressionProblem(K, np.arange(9), y, 0.0))
+        out, _, _ = kernel_regress(RegressionProblem(K, np.arange(9), y, 0.0))
         assert np.abs(out - y).max() < 1e-8
 
     def test_single_observation_scalar_ratio(self):
@@ -56,7 +60,7 @@ class TestKernelRegress:
         K = _random_psd_kernel(rng, 2, 3)
         o = 4
         v = 2.0 - 1.5j
-        out = kernel_regress(RegressionProblem(K, np.array([o]), np.array([v]), 0.0))
+        out, _, _ = kernel_regress(RegressionProblem(K, np.array([o]), np.array([v]), 0.0))
         expect = v * K.gram[:, o] / K.gram[o, o]
         assert np.abs(out - expect).max() < 1e-12
 
@@ -67,7 +71,7 @@ class TestKernelRegress:
             obs = np.sort(rng.choice(25, size=3, replace=False)).astype(np.int64)
             y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             lam = 1e-3
-            out = kernel_regress(RegressionProblem(K, obs, y, lam))
+            out, _, _ = kernel_regress(RegressionProblem(K, obs, y, lam))
             k_oo = K.gram[np.ix_(obs, obs)]
             naive = K.gram[:, obs] @ np.linalg.inv(k_oo + lam * np.eye(3)) @ y
             denom = np.abs(naive).max()
@@ -80,9 +84,9 @@ class TestKernelRegress:
         y1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         y2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         lam = 1e-6
-        a = kernel_regress(RegressionProblem(K, obs, y1, lam))
-        b = kernel_regress(RegressionProblem(K, obs, y2, lam))
-        ab = kernel_regress(RegressionProblem(K, obs, y1 + y2, lam))
+        a, _, _ = kernel_regress(RegressionProblem(K, obs, y1, lam))
+        b, _, _ = kernel_regress(RegressionProblem(K, obs, y2, lam))
+        ab, _, _ = kernel_regress(RegressionProblem(K, obs, y1 + y2, lam))
         assert np.abs(ab - (a + b)).max() <= 1e-9 * np.abs(ab).max()
 
     def test_ridge_shrinkage(self):
@@ -90,17 +94,47 @@ class TestKernelRegress:
         K = _random_psd_kernel(rng, 4, 4)
         obs = np.array([0, 3, 7], dtype=np.int64)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        out = kernel_regress(RegressionProblem(K, obs, y, 1e12))
+        out, _, _ = kernel_regress(RegressionProblem(K, obs, y, 1e12))
         assert np.abs(out).max() <= 1e-6 * np.abs(y).max()
 
-    def test_singular_kernel_error(self):
-        # rank-1 gram with two observations is singular at ridge 0
+    def test_singular_block_floored(self):
+        # rank-1 gram with two observations is singular at ridge 0: the ridge
+        # is raised to lift the smallest eigenvalue of K_oo to the floor
         v = np.arange(1.0, 5.0)
         K = CoordinateKernel(np.outer(v, v), (2, 2))
         obs = np.array([0, 1], dtype=np.int64)
         y = np.array([1.0 + 0j, 2.0 + 0j])
-        with pytest.raises(SingularKernelError):
-            kernel_regress(RegressionProblem(K, obs, y, 0.0))
+        out, lam, cond = kernel_regress(RegressionProblem(K, obs, y, 0.0))
+        k_oo = K.gram[np.ix_(obs, obs)]
+        floor = imputer.EIG_FLOOR_REL * np.trace(k_oo) / obs.size
+        assert np.all(np.isfinite(out))
+        assert lam == floor - np.linalg.eigh(k_oo)[0][0] > 0
+        assert np.isfinite(cond)
+
+    def test_zero_block_gives_zero_estimate(self):
+        # an all-zero K_oo has trace 0, so the floor, and with it the ridge,
+        # is the smallest normal float, and the estimate is zero, not NaN
+        K = CoordinateKernel(np.zeros((4, 4)), (2, 2))
+        obs = np.array([1, 3], dtype=np.int64)
+        out, lam, cond = kernel_regress(RegressionProblem(K, obs, np.array([1 + 2j, -3j]), 0.0))
+        assert np.array_equal(out, np.zeros(4, np.complex128))
+        assert lam >= np.finfo(np.float64).tiny
+        assert cond == 1.0
+
+    def test_indefinite_block_lifted_to_floor(self):
+        # K_oo = [[1, 2], [2, 1]] has eigenvalues -1 and 3: the ridge lifts
+        # -1 to the floor and the condition number is (3 + lam) / floor
+        gram = np.array([[1.0, 2.0, 0.5, 0.0],
+                         [2.0, 1.0, 0.0, 0.5],
+                         [0.5, 0.0, 1.0, 0.0],
+                         [0.0, 0.5, 0.0, 1.0]])
+        K = CoordinateKernel(gram, (2, 2))
+        obs = np.array([0, 1], dtype=np.int64)
+        out, lam, cond = kernel_regress(RegressionProblem(K, obs, np.array([1 + 1j, 2 - 1j]), 1e-3))
+        floor = imputer.EIG_FLOOR_REL * 2.0 / 2
+        assert np.all(np.isfinite(out))
+        assert abs((lam - 1.0) - floor) <= 1e-4 * floor
+        assert abs(cond - (3.0 + lam) / floor) <= 1e-4 * cond
 
     def test_columns_match_single_column_solves(self):
         # an (n, B) problem solves every column with one factorization and
@@ -109,10 +143,10 @@ class TestKernelRegress:
         K = _random_psd_kernel(rng, 4, 5)
         obs = np.array([0, 3, 7, 11, 18], dtype=np.int64)
         Y = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        out = kernel_regress(RegressionProblem(K, obs, Y, 1e-3))
+        out, _, _ = kernel_regress(RegressionProblem(K, obs, Y, 1e-3))
         assert out.shape == (20, 3)
         for b in range(3):
-            col = kernel_regress(RegressionProblem(K, obs, Y[:, b], 1e-3))
+            col, _, _ = kernel_regress(RegressionProblem(K, obs, Y[:, b], 1e-3))
             assert np.array_equal(out[:, b], col)
         with pytest.raises(ValueError):
             RegressionProblem(K, obs, np.vstack([Y, Y[:1]]), 1e-3)
@@ -342,14 +376,48 @@ def test_auto_ridge_policy():
 
 def test_escalation_ladder_recovers_singular_block():
     # duplicated pilot rows make K_oo numerically singular at tiny ridge;
-    # the ladder must escalate instead of failing
+    # the eigenvalue floor must raise the ridge instead of failing
     rng = np.random.default_rng(12)
     v = rng.standard_normal(16)
     gram = np.outer(v, v)  # rank 1
     K = CoordinateKernel(gram, (4, 4))
-    from channel_cntk.imputer import _regress_with_escalation
     obs = np.array([0, 1, 2], dtype=np.int64)
     y = np.array([1 + 1j, 2 + 0j, 0.5j])
-    out, lam = _regress_with_escalation(K, obs, y, 0.0)
+    out, lam, _ = kernel_regress(RegressionProblem(K, obs, y, 0.0))
     assert np.all(np.isfinite(out))
     assert lam > 0
+
+
+def _erased_mask(rng, rows):
+    """Dense pilot mask with about half its pilots dropped, at least one kept per band."""
+    mask = preset_pattern("dense", rows, 14).mask.copy()
+    for band in mask.reshape(-1, 12, 14):
+        idx = np.flatnonzero(band)
+        band.reshape(-1)[rng.choice(idx, size=idx.size // 2, replace=False)] = False
+    return mask
+
+
+@pytest.mark.parametrize("ridge", [None, 0.0, 1e-2])
+def test_condition_matches_svd_oracle(ridge):
+    # the condition number read from the eigenvalues equals the SVD's
+    rng = np.random.default_rng(18)
+    masks = (preset_pattern("dense", 24, 14).mask, preset_pattern("sparse", 24, 14).mask,
+             _erased_mask(rng, 24))
+    for mask in masks:
+        sp = SparseChannelEstimate(_random_pilots(rng, mask), mask)
+        imp = estimate_channel_cntk(sp, ridge=ridge)
+        for band, d in enumerate(imp.diagnostics):
+            obs = np.flatnonzero(mask.reshape(-1, 12 * 14)[band])
+            k_oo = estimation_kernel(sp, band).gram[np.ix_(obs, obs)]
+            oracle = np.linalg.cond(k_oo + d.ridge * np.eye(obs.size))
+            assert abs(d.condition - oracle) <= 1e-10 * oracle
+
+
+def test_package_import_loads_no_scipy():
+    # NumPy is the only runtime dependency
+    code = "import sys, channel_cntk; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(imputer.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert res.stdout.strip() == "[]"
