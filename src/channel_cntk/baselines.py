@@ -107,15 +107,22 @@ def linear_interpolate(sparse: SparseChannelEstimate) -> np.ndarray:
             re = np.interp(rows, rsel, vals.real)
             im = np.interp(rows, rsel, vals.imag)
             col_fill[:, ci] = re + 1j * im
-    # stage 2: interpolate along time between pilot-bearing columns
-    out = np.empty((M, N), dtype=np.complex128)
-    cols = np.arange(N)
+    # stage 2: interpolate along time between pilot-bearing columns, all rows
+    # at once with np.interp's arithmetic on the real and imaginary parts: a
+    # symbol on a pilot column or outside their span copies the nearest one;
+    # one between columns x_j < n < x_{j+1} is slope*(n - x_j) + y_j with
+    # slope = (y_{j+1} - y_j)/(x_{j+1} - x_j)
     if pilot_cols.size == 1:
-        out[:] = col_fill[:, [0]]
+        out = np.repeat(col_fill, N, axis=1)
     else:
-        for m in range(M):
-            re = np.interp(cols, pilot_cols, col_fill[m].real)
-            im = np.interp(cols, pilot_cols, col_fill[m].imag)
-            out[m] = re + 1j * im
+        cols = np.arange(N)
+        j = np.clip(np.searchsorted(pilot_cols, cols, side="right") - 1, 0, pilot_cols.size - 1)
+        between = (cols > pilot_cols[j]) & (j < pilot_cols.size - 1)
+        lo = j[between]
+        parts = np.stack([col_fill.real, col_fill.imag])
+        fill = parts[:, :, j]
+        slope = (parts[:, :, lo + 1] - parts[:, :, lo]) / (pilot_cols[lo + 1] - pilot_cols[lo])
+        fill[:, :, between] = slope * (cols[between] - pilot_cols[lo]) + parts[:, :, lo]
+        out = fill[0] + 1j * fill[1]
     out[sparse.mask] = sparse.values[sparse.mask]
     return out

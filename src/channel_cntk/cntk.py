@@ -9,6 +9,18 @@ recursion per layer is a patchwise covariance aggregation (the padded
 convolution), then the Gaussian dual of the activation, accumulating the
 tangent kernel alongside the covariance.
 
+Both per-layer stages are arranged for speed without changing that math.
+Odd-reflection padding and the joint-offset sum act on the row axes
+(m, m') and the column axes (n, n') of the 4-D pixel-pair field
+separately, so `patch_aggregate` fills the row padding in place and sums
+over the joint row shift, then pads the columns of that partial sum and
+sums over the joint column shift: 2q shifted sums instead of q^2, and no
+np.pad. `leaky_relu_duals` works in a few preallocated buffers, computes
+Sigma_dot once and reuses it in Sigma. Its root = sqrt(lam11*lam22) is
+formed per pixel pair, never as sqrt(d_i)*sqrt(d_j): near rho = 1,
+arccos turns a 1-ulp change in rho into ~1e-8 in theta, and the
+normalized kernel would move by ~1e-7.
+
 The input is a small stack of real feature planes. `build_estimation_prior`
 builds the weighted 4-plane stack (mask, coordinates, constant bias) the
 channel estimator uses, where the plane amplitudes set the kernel's length
@@ -159,42 +171,83 @@ def leaky_relu_duals(lam11, lam22, lam12, neg_slope: float, pos_slope: float):
 
     For (u, v) zero-mean bivariate normal with covariance
     [[lam11, lam12], [lam12, lam22]], returns E[act(u)act(v)] and
-    E[act'(u)act'(v)] in closed form. With rho = lam12/sqrt(lam11*lam22)
-    clamped to [-1, 1], theta = arccos(rho):
+    E[act'(u)act'(v)] in closed form. With root = sqrt(lam11*lam22),
+    rho = lam12/root clamped to [-1, 1], theta = arccos(rho) and
+    c = (b-a)^2/(2*pi):
 
-        kappa0 = (pi - theta)/pi
-        kappa1 = (sqrt(1 - rho^2) + (pi - theta)*rho)/pi
-        Sigma     = sqrt(lam11*lam22) * (a*b*rho + ((b-a)^2/2)*kappa1)
-        Sigma_dot = a*b + ((b-a)^2/2)*kappa0
+        Sigma_dot = a*b + c*(pi - theta)
+        Sigma     = root * (rho*Sigma_dot + c*sqrt(1 - rho^2))
 
-    Degenerate pixels (lam11*lam22 < EPS_RHO^2) take the rho = 0 limit:
-    Sigma = 0 and Sigma_dot at independent inputs. Accepts scalars or
-    broadcastable arrays; raises ValueError if |lam12| exceeds
-    sqrt(lam11*lam22) beyond COV_TOL.
+    which is a*b*rho + ((b-a)^2/2)*kappa1 times root, with the arc-cosine
+    kernels kappa0 = (pi - theta)/pi and
+    kappa1 = (sqrt(1 - rho^2) + (pi - theta)*rho)/pi. Degenerate pixels
+    (lam11*lam22 < EPS_RHO^2) take the rho = 0 limit: Sigma = 0 and
+    Sigma_dot at independent inputs. Accepts scalars or broadcastable
+    arrays; raises ValueError if |lam12| exceeds root beyond COV_TOL.
     """
     lam11 = np.asarray(lam11, dtype=np.float64)
     lam22 = np.asarray(lam22, dtype=np.float64)
     lam12 = np.asarray(lam12, dtype=np.float64)
     if np.any(lam11 < 0) or np.any(lam22 < 0):
         raise ValueError("variances must be non-negative")
-    prod = lam11 * lam22
-    root = np.sqrt(prod)
-    if np.any(np.abs(lam12) > root + COV_TOL):
+    shape = np.broadcast(lam11, lam22, lam12).shape
+    # root stays sqrt(lam11*lam22) per pair: near rho = 1, arccos turns a
+    # 1-ulp change in rho (say from sqrt(lam11)*sqrt(lam22)) into ~1e-8 in theta
+    root = np.multiply(lam11, lam22, out=np.empty(shape))
+    degenerate = root < EPS_RHO * EPS_RHO
+    np.sqrt(root, out=root)
+    rho = np.abs(lam12, out=np.empty(shape))
+    if np.any(rho > root + COV_TOL):
         raise ValueError("invalid covariance: |lam12| exceeds sqrt(lam11*lam22)")
     a, b = neg_slope, pos_slope
-    degenerate = prod < EPS_RHO * EPS_RHO
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(degenerate, 0.0, lam12 / np.where(degenerate, 1.0, root))
-    rho = np.clip(rho, -1.0, 1.0)
-    theta = np.arccos(rho)
-    kappa0 = (np.pi - theta) / np.pi
-    kappa1 = (np.sqrt(np.maximum(1.0 - rho * rho, 0.0)) + (np.pi - theta) * rho) / np.pi
-    sigma = root * (a * b * rho + 0.5 * (b - a) ** 2 * kappa1)
-    sigma = np.where(degenerate, 0.0, sigma)
-    sigma_dot = a * b + 0.5 * (b - a) ** 2 * kappa0
+    c = (b - a) ** 2 / (2 * np.pi)
+    np.divide(lam12, root, out=rho, where=~degenerate)
+    np.copyto(rho, 0.0, where=degenerate)
+    np.clip(rho, -1.0, 1.0, out=rho)
+    sigma_dot = np.arccos(rho, out=np.empty(shape))
+    np.subtract(np.pi, sigma_dot, out=sigma_dot)
+    sigma_dot *= c
+    sigma_dot += a * b
+    # sin(theta) as sqrt(1 - rho^2), a fraction of np.sin's cost; |rho| <= 1
+    # makes 1 - rho*rho >= 0 exactly
+    sine = np.multiply(rho, rho, out=np.empty(shape))
+    np.subtract(1.0, sine, out=sine)
+    np.sqrt(sine, out=sine)
+    sine *= c
+    sigma = rho
+    sigma *= sigma_dot
+    sigma += sine
+    sigma *= root
+    np.copyto(sigma, 0.0, where=degenerate)
     if sigma.ndim == 0:
         return float(sigma), float(sigma_dot)
     return sigma, sigma_dot
+
+
+def _odd_reflect_pad(buf: np.ndarray, axis: int, r: int) -> None:
+    """Fill the r entries at each end of `buf` along `axis` by odd reflection of the L between.
+
+    Matches np.pad(mode="reflect", reflect_type="odd") on that interior up
+    to rounding: the entry d places beyond an edge entry x[e] is 2*x[e]
+    minus the entry d places back inside. For d >= L that entry lies in the
+    opposite border, filled at a smaller d, which continues the reflection
+    as np.pad's repeated reflection of a border wider than L - 1 does. A
+    1-entry interior is repeated, np.pad's edge mode for a 1-wide axis.
+    """
+    L = buf.shape[axis] - 2 * r
+
+    def at(i):
+        return buf[(slice(None),) * axis + (slice(i, i + 1),)]
+
+    for d in range(1, r + 1):
+        if L == 1:
+            at(r - d)[...] = at(r)
+            at(r + d)[...] = at(r)
+            continue
+        for p, e in ((r - d, r), (r + L - 1 + d, r + L - 1)):
+            dst = at(p)
+            np.multiply(at(e), 2.0, out=dst)
+            dst -= at(2 * e - p)
 
 
 def patch_aggregate(field: np.ndarray, dims: tuple[int, int], q: int) -> np.ndarray:
@@ -205,6 +258,11 @@ def patch_aggregate(field: np.ndarray, dims: tuple[int, int], q: int) -> np.ndar
     SAME offset. Out-of-bounds samples continue the field by odd reflection
     (linear extrapolation through the border), the covariance map of an
     odd-reflection padding layer.
+
+    Padding and sum are separable, so the field (axes m, n, m', n') is
+    padded on its row axes (m, m') and summed over the joint row shift,
+    then the q-term partial sum is padded on its column axes (n, n') and
+    summed over the joint column shift: 2q shifted sums instead of q^2.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError("q must be odd and positive")
@@ -212,12 +270,23 @@ def patch_aggregate(field: np.ndarray, dims: tuple[int, int], q: int) -> np.ndar
     P = M * N
     if field.shape != (P, P):
         raise ValueError(f"field must be {P}x{P} for dims {dims}")
+    if q == 1:
+        return field.astype(np.float64)
     r = q // 2
-    padded = np.pad(field.reshape(M, N, M, N), r, mode="reflect", reflect_type="odd")
-    out = np.zeros((M, N, M, N))
-    for da in range(q):
-        for db in range(q):
-            out += padded[da:da + M, db:db + N, da:da + M, db:db + N]
+    rows = np.empty((M + 2 * r, N, M + 2 * r, N))
+    rows[r:r + M, :, r:r + M] = field.reshape(M, N, M, N)
+    _odd_reflect_pad(rows[:, :, r:r + M], 0, r)
+    _odd_reflect_pad(rows, 2, r)
+    part = rows[:M, :, :M] + rows[1:M + 1, :, 1:M + 1]
+    for a in range(2, q):
+        part += rows[a:a + M, :, a:a + M]
+    cols = np.empty((M, N + 2 * r, M, N + 2 * r))
+    cols[:, r:r + N, :, r:r + N] = part
+    _odd_reflect_pad(cols[:, :, :, r:r + N], 1, r)
+    _odd_reflect_pad(cols, 3, r)
+    out = cols[:, :N, :, :N] + cols[:, 1:N + 1, :, 1:N + 1]
+    for b in range(2, q):
+        out += cols[:, b:b + N, :, b:b + N]
     out /= q * q
     return out.reshape(P, P)
 
@@ -237,11 +306,12 @@ def compute_cntk(prior: PriorTensor, cfg: CntkConfig = CntkConfig()) -> Coordina
     theta = sigma.copy()
     for _ in range(cfg.depth):
         cov = patch_aggregate(sigma, (M, N), cfg.filter_size)
-        theta_agg = patch_aggregate(theta, (M, N), cfg.filter_size)
+        theta = patch_aggregate(theta, (M, N), cfg.filter_size)
         # the aggregated covariance is PSD up to rounding; clip float dust
         diag = np.maximum(np.diag(cov).copy(), 0.0)
         sigma, sigma_dot = leaky_relu_duals(diag[:, None], diag[None, :], cov, cfg.neg_slope, 1.0)
-        theta = theta_agg * sigma_dot + sigma
+        theta *= sigma_dot
+        theta += sigma
     gram = 0.5 * (theta + theta.T)
     if not np.all(np.isfinite(gram)):
         raise ValueError("kernel recursion produced non-finite entries")

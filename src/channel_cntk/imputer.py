@@ -12,8 +12,9 @@ and ridge the estimator is therefore a linear map from pilots to grid, the
 smoother W = K_ao (K_oo + ridge*I)^-1, so the unit of work is a distinct
 band mask: its bands share one kernel, ridge choice, eigendecomposition of
 K_oo and `kernel_regress` call (each band's centered pilots are one column),
-and `solve_s` in their diagnostics is that group's eigendecomposition-and-
-solve time. The kernel is cached per process, keyed on the band mask,
+and `kernel_s` and `solve_s` in their diagnostics are that group's time to
+get its kernel (build or cache hit) and its eigendecomposition-and-solve
+time. The kernel is cached per process, keyed on the band mask,
 `CntkConfig` and `PriorWeights`, in a bounded cache of KERNEL_CACHE_SIZE
 entries, so a receiver with a fixed pilot layout builds it once; the ridge
 choice, eigendecomposition and condition number are made on every call.
@@ -86,15 +87,18 @@ class RegressionProblem:
 
 @dataclass(frozen=True)
 class BlockDiagnostics:
-    """Per-block solver health: row band, ridge used, condition number, solve time.
+    """Per-block solver health: row band, ridge used, condition number, stage times.
 
-    `solve_s` is the time of the eigendecomposition and solve. The bands of
-    one mask group share its ridge, condition and `solve_s`."""
+    `kernel_s` is the time spent getting the band's kernel: a build on a
+    cache miss, a lookup on a hit. `solve_s` is the time of the
+    eigendecomposition and solve. The bands of one mask group share its
+    ridge, condition, `kernel_s` and `solve_s`."""
 
     block_index: int
     ridge: float
     condition: float
     solve_s: float
+    kernel_s: float
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,9 @@ def estimate_channel_cntk(sparse: SparseChannelEstimate,
     out = np.empty(values.shape, np.complex128)
     diags = [None] * bands
     for key, members in groups.items():
+        t0 = time.perf_counter()
         kernel = _mask_kernel(masks.shape[1:], key, cfg, weights)
+        kernel_s = time.perf_counter() - t0
         obs_idx = np.flatnonzero(masks[members[0]])
         lam = default_ridge(kernel, obs_idx) if ridge is None else ridge
         vals = values[np.ix_(members, obs_idx)]  # C order: each band mean sums as alone
@@ -236,5 +242,5 @@ def estimate_channel_cntk(sparse: SparseChannelEstimate,
         if ridge == 0:
             out[np.ix_(members, obs_idx)] = vals
         for bi in members:
-            diags[bi] = BlockDiagnostics(bi, lam_used, cond, solve_s)
+            diags[bi] = BlockDiagnostics(bi, lam_used, cond, solve_s, kernel_s)
     return ImputedChannel(out.reshape(sparse.shape), tuple(diags))

@@ -5,10 +5,15 @@ import pytest
 
 from channel_cntk import (
     CntkConfig,
+    CoordinateKernel,
     PriorWeights,
     SparseChannelEstimate,
+    cntk,
     compute_cntk,
+    estimate_channel_cntk,
+    imputer,
     normalize_kernel,
+    preset_pattern,
 )
 from channel_cntk.cntk import (
     PriorTensor,
@@ -17,6 +22,7 @@ from channel_cntk.cntk import (
     patch_aggregate,
 )
 
+import cntk_reference as reference
 from dual_oracle import mc_dual_oracle
 from ntk_finite_width import empirical_ntk
 from value_prior import value_prior
@@ -318,3 +324,134 @@ def test_finite_width_ntk_relative_error():
                               neg_slope=0.05, pos_slope=1.0)
     rel = np.linalg.norm(empirical - analytic) / np.linalg.norm(analytic)
     assert rel <= 0.1
+
+
+# The fast stages against the direct forms in cntk_reference. They differ only
+# in summation order and in how the dual's constants are grouped, so the
+# tolerances are a few hundred float64 ulps, fixed from that and not from the
+# measured differences: 1e-13 relative per aggregation or dual, 1e-9 on the
+# normalized kernel after 8 layers, 1e-9 relative on the estimates.
+
+@pytest.mark.parametrize("q", [1, 3, 5, 7])
+@pytest.mark.parametrize("dims", [(1, 1), (1, 4), (4, 1), (2, 2), (2, 5), (5, 2), (3, 4), (6, 5)])
+def test_patch_aggregate_matches_np_pad_reference(dims, q):
+    # 1-wide axes take np.pad's edge mode; q//2 >= L reflects repeatedly
+    rng = np.random.default_rng(100 * dims[0] + 10 * dims[1] + q)
+    P = dims[0] * dims[1]
+    field = rng.standard_normal((P, P))
+    fast = patch_aggregate(field, dims, q)
+    ref = reference.patch_aggregate(field, dims, q)
+    assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_leaky_relu_duals_match_reference_scalars():
+    cases = [(1, 1, 1), (1, 1, 0), (1, 1, -1), (4, 1, 0.3), (0.25, 9, -1.5),
+             (2, 3, 2.449489742783178), (0, 5, 0), (1e-20, 1e-20, 1e-20), (1, 1, 1 + 5e-9)]
+    for lam11, lam22, lam12 in cases:
+        for a in (0.0, 0.05, 0.5, 1.0):
+            got = leaky_relu_duals(lam11, lam22, lam12, a, 1.0)
+            want = reference.leaky_relu_duals(lam11, lam22, lam12, a, 1.0)
+            assert all(type(x) is float for x in got)
+            assert abs(got[0] - want[0]) <= 1e-13 * max(np.sqrt(lam11 * lam22), 1e-300)
+            assert abs(got[1] - want[1]) <= 1e-13
+            if lam11 * lam22 < cntk.EPS_RHO ** 2:
+                assert got[0] == 0.0
+
+
+def test_leaky_relu_duals_match_reference_broadcast():
+    # a pixel-pair covariance with zero-energy pixels, as compute_cntk passes it,
+    # and mixed broadcast shapes
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal((40, 5))
+    A[[3, 17, 29]] = 0.0  # degenerate pixels
+    cov = A @ A.T
+    d = np.diag(cov).copy()
+    inputs = [(d[:, None], d[None, :], cov),
+              (d, 2.0, 0.5 * np.sqrt(2.0 * d)),
+              (np.full((3, 1), 4.0), np.array([1.0, 0.0, 9.0]), np.array([[1.0, 0.0, -5.0]]))]
+    for lam11, lam22, lam12 in inputs:
+        got_s, got_sd = leaky_relu_duals(lam11, lam22, lam12, 0.05, 1.0)
+        want_s, want_sd = reference.leaky_relu_duals(lam11, lam22, lam12, 0.05, 1.0)
+        assert got_s.shape == want_s.shape == got_sd.shape
+        scale = np.sqrt(np.asarray(lam11) * np.asarray(lam22)).max()
+        assert np.abs(got_s - want_s).max() <= 1e-13 * scale
+        assert np.abs(got_sd - want_sd).max() <= 1e-13
+    degenerate = np.zeros(cov.shape, bool)
+    degenerate[[3, 17, 29]] = degenerate[:, [3, 17, 29]] = True
+    s, sd = leaky_relu_duals(d[:, None], d[None, :], cov, 0.05, 1.0)
+    assert np.all(s[degenerate] == 0.0)
+    assert np.abs(sd[degenerate] - (0.05 + 0.9025 / 4)).max() <= 1e-15
+
+
+def test_leaky_relu_duals_leave_inputs_unchanged():
+    rng = np.random.default_rng(32)
+    A = rng.standard_normal((10, 3))
+    cov = A @ A.T
+    d = np.diag(cov).copy()
+    before = (d.copy(), cov.copy())
+    leaky_relu_duals(d[:, None], d[None, :], cov, 0.05, 1.0)
+    assert np.array_equal(d, before[0]) and np.array_equal(cov, before[1])
+
+
+def _estimation_masks(rows):
+    """Dense preset, sparse preset and a random mask with a pilot in every band."""
+    rng = np.random.default_rng(rows)
+    random = rng.random((rows, 14)) < 0.15
+    random[::12, 0] = True
+    return {"dense": preset_pattern("dense", rows, 14).mask,
+            "sparse": preset_pattern("sparse", rows, 14).mask,
+            "random": random}
+
+
+@pytest.mark.parametrize("rows", [12, 36])
+def test_normalized_kernel_matches_reference_recursion(rows):
+    for name, mask in _estimation_masks(rows).items():
+        prior = build_estimation_prior(SparseChannelEstimate(np.zeros(mask.shape), mask))
+        fast = normalize_kernel(compute_cntk(prior)).gram
+        ref = reference.compute_cntk(prior)
+        d = np.sqrt(np.diag(ref))
+        assert np.abs(fast - ref / d[:, None] / d[None, :]).max() <= 1e-9, name
+
+
+def _reference_kernel(prior, cfg=CntkConfig()):
+    return CoordinateKernel(reference.compute_cntk(prior, cfg), prior.dims)
+
+
+@pytest.mark.parametrize("ridge", [None, 0.0, 1e-3, 1e-1])
+def test_estimates_match_reference_recursion(monkeypatch, ridge):
+    rng = np.random.default_rng(33)
+    slots = [SparseChannelEstimate(np.where(mask, rng.standard_normal(mask.shape)
+                                            + 1j * rng.standard_normal(mask.shape), 0), mask)
+             for mask in _estimation_masks(24).values()]
+    imputer._mask_kernel.cache_clear()
+    fast = [estimate_channel_cntk(sp, ridge=ridge).h_hat for sp in slots]
+    imputer._mask_kernel.cache_clear()
+    monkeypatch.setattr(imputer, "compute_cntk", _reference_kernel)
+    try:
+        ref = [estimate_channel_cntk(sp, ridge=ridge).h_hat for sp in slots]
+    finally:
+        imputer._mask_kernel.cache_clear()
+    for got, want in zip(fast, ref):
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_compute_cntk_stage_calls_per_layer(monkeypatch):
+    # per layer: two aggregations called as patch_aggregate(field, (M, N), q),
+    # the form the benchmark's tracer reads, and one activation dual
+    calls = {"patch_aggregate": [], "leaky_relu_duals": 0}
+    aggregate, duals = cntk.patch_aggregate, cntk.leaky_relu_duals
+
+    def counting_aggregate(*args, **kwargs):
+        calls["patch_aggregate"].append((args[1:], kwargs))
+        return aggregate(*args, **kwargs)
+
+    def counting_duals(*args, **kwargs):
+        calls["leaky_relu_duals"] += 1
+        return duals(*args, **kwargs)
+
+    monkeypatch.setattr(cntk, "patch_aggregate", counting_aggregate)
+    monkeypatch.setattr(cntk, "leaky_relu_duals", counting_duals)
+    cfg = CntkConfig(depth=5, filter_size=3)
+    compute_cntk(PriorTensor(np.ones((2, 3, 4))), cfg)
+    assert calls["patch_aggregate"] == [(((3, 4), 3), {})] * (2 * cfg.depth)
+    assert calls["leaky_relu_duals"] == cfg.depth

@@ -344,6 +344,20 @@ def test_kernel_built_once_per_distinct_band_mask(monkeypatch):
     assert _count_calls(monkeypatch, alternating) == (2, 2)
 
 
+def test_kernel_time_is_shared_within_a_mask_group():
+    # kernel_s times getting the group's kernel: a build on the first call,
+    # a cache lookup on the next; the bands of one mask share it
+    rng = np.random.default_rng(17)
+    mask = _alternating_mask(48)
+    sparse = SparseChannelEstimate(_random_pilots(rng, mask), mask)
+    imputer._mask_kernel.cache_clear()
+    for _ in range(2):
+        diags = estimate_channel_cntk(sparse).diagnostics
+        assert all(d.kernel_s >= 0 for d in diags)
+        for group in (diags[0::2], diags[1::2]):
+            assert len({d.kernel_s for d in group}) == 1
+
+
 def test_kernel_cache_hit_equals_cold_call():
     # a warm cache never changes an estimate: after a default call, a changed
     # config, prior weights or ridge gives the bits of a call made on an empty
