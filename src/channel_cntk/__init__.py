@@ -45,11 +45,12 @@ from .grid import (
 )
 from .imputer import (
     ImputedChannel,
-    RegressionProblem,
+    SpectralSmoother,
     auto_ridge,
     estimate_channel_cntk,
     estimation_kernel,
     kernel_regress,
+    spectral_smoother,
 )
 
 __version__ = "0.1.0"
@@ -64,9 +65,9 @@ __all__ = [
     "PATTERN_PRESETS",
     "PilotPattern",
     "PriorWeights",
-    "RegressionProblem",
     "ResourceGrid",
     "SparseChannelEstimate",
+    "SpectralSmoother",
     "SweepResult",
     "SweepRow",
     "TdlProfile",
@@ -89,5 +90,6 @@ __all__ = [
     "normalize_kernel",
     "preset_pattern",
     "run_sweep",
+    "spectral_smoother",
     "transmit",
 ]

@@ -42,7 +42,7 @@ from .grid import (
     make_pilot_pattern,
     preset_pattern,
 )
-from .imputer import estimation_kernel
+from .imputer import default_ridge, estimation_smoother
 
 
 class CliError(Exception):
@@ -302,11 +302,15 @@ def cmd_kernel_dump(args) -> int:
         raise CliError(f"record index {args.record} out of range "
                        f"[0, {len(records)})")
     sparse = _sparse_from_record(records[args.record], manifest)
-    kernel = estimation_kernel(sparse, args.block, _cntk_cfg_from(vars(args)))
+    smoother = estimation_smoother(sparse, args.block, _cntk_cfg_from(vars(args)))
+    kernel = smoother.kernel
     out_path = _resolve_out(args.out)
     np.savetxt(out_path, kernel.gram, fmt="%.17g", delimiter=",")
     P = kernel.gram.shape[0]
     print(f"wrote {out_path}: {P}x{P} gram matrix (block {args.block})")
+    lam, cond = smoother.regularize(default_ridge(kernel, smoother.obs))
+    print(f"K_oo over {smoother.obs.size} pilots: min eigenvalue {float(smoother.e[0])!r}, "
+          f"condition {cond!r} at the default ridge {lam!r}")
     if args.check_symmetric:
         asym = float(np.abs(kernel.gram - kernel.gram.T).max())
         scale = float(np.abs(kernel.gram).max())

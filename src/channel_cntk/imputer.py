@@ -10,14 +10,16 @@ which holds the band's pilot mask and coordinates but no pilot values;
 `estimation_kernel(sparse, band)` returns it for one band. For a fixed mask
 and ridge the estimator is therefore a linear map from pilots to grid, the
 smoother W = K_ao (K_oo + ridge*I)^-1, so the unit of work is a distinct
-band mask: its bands share one kernel, ridge choice, eigendecomposition of
-K_oo and `kernel_regress` call (each band's centered pilots are one column),
-and `kernel_s` and `solve_s` in their diagnostics are that group's time to
-get its kernel (build or cache hit) and its eigendecomposition-and-solve
-time. The kernel is cached per process, keyed on the band mask,
-`CntkConfig` and `PriorWeights`, in a bounded cache of KERNEL_CACHE_SIZE
-entries, so a receiver with a fixed pilot layout builds it once; the ridge
-choice, eigendecomposition and condition number are made on every call.
+band mask: its bands share one kernel, one `SpectralSmoother` (the
+eigendecomposition K_oo = U diag(e) U^T and B = K_ao U) and one
+`kernel_regress` call (each band's centered pilots are one column). The
+smoother is cached per process, keyed on the band mask, `CntkConfig` and
+`PriorWeights`, in a bounded cache of KERNEL_CACHE_SIZE entries, so a
+receiver with a fixed pilot layout builds its kernel and eigendecomposes
+K_oo once; each call only chooses the ridge, filters the eigenvalues by
+1/(e + ridge) and applies B diag(1/(e + ridge)) U^T to the pilots.
+`kernel_s` and `solve_s` in the diagnostics are a group's time to get its
+smoother (build or cache hit) and to apply it.
 A singular or slightly indefinite K_oo needs no retry: when its smallest
 eigenvalue plus the ridge falls below EIG_FLOOR_REL * trace(K_oo)/|obs|,
 the ridge is raised to lift that eigenvalue to the floor, and the ridge
@@ -53,46 +55,72 @@ DEFAULT_RIDGE_REL = 1e-8
 #: to its mean diagonal trace(K_oo)/|obs|.
 EIG_FLOOR_REL = 1e-10
 
-#: Kernels kept across calls. Real callers alternate between at most 2 band
-#: masks (`run_sweep` over the dense and sparse presets); each resident
-#: 12 x 14 kernel costs ~0.2 MB, and keeping all 30 of a slot whose band
-#: masks all differ cost +9.5% of peak RSS.
+#: Smoothers kept across calls. Real callers alternate between at most 2
+#: band masks (`run_sweep` over the dense and sparse presets); each resident
+#: 12 x 14 smoother costs ~0.25 MB (kernel ~0.2 MB, B ~32 KB at 24 pilots),
+#: and keeping the kernels of all 30 bands of a slot whose band masks all
+#: differ cost +9.5% of peak RSS.
 KERNEL_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
-class RegressionProblem:
-    """Kernel regression inputs: Gram matrix, observed pixel set, targets, ridge."""
+class SpectralSmoother:
+    """A kernel and an observed pixel set, factored once for any ridge.
+
+    With K_oo = U diag(e) U^T (e ascending) and B = K_ao U, where K_ao is
+    the kernel's columns at `obs`, the ridge estimate of targets y is
+    B diag(1/(e + lam)) U^T y. `floor` is the eigenvalue floor
+    EIG_FLOOR_REL * trace(K_oo)/n, at least the smallest normal float.
+    Build it with `spectral_smoother`; all arrays are read-only.
+    """
 
     kernel: CoordinateKernel
-    observed_idx: np.ndarray  # int64, strictly increasing flat pixel indices
-    observed_vals: np.ndarray  # complex128, (n,) or (n, B), rows aligned with observed_idx
-    ridge: float = 0.0
+    obs: np.ndarray  # int64, strictly increasing flat pixel indices, shape (n,)
+    e: np.ndarray  # float64, eigenvalues of K_oo, ascending, shape (n,)
+    U: np.ndarray  # float64, eigenvectors of K_oo as columns, shape (n, n)
+    floor: float
+    B: np.ndarray  # float64, K_ao U, shape (P, n)
 
-    def __post_init__(self):
-        idx = _locked(self.observed_idx, np.int64)
-        vals = _locked(self.observed_vals, np.complex128)
-        P = self.kernel.gram.shape[0]
-        if idx.ndim != 1 or idx.size < 1 or vals.ndim > 2 or vals.shape[:1] != idx.shape:
-            raise ValueError("observed_vals must be (n,) or (n, B) over a non-empty observed_idx")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("observed_vals must be finite (no NaN/Inf)")
-        if np.any(idx < 0) or np.any(idx >= P) or np.any(np.diff(idx) <= 0):
-            raise ValueError("observed_idx must be strictly increasing within [0, P)")
-        if self.ridge < 0:
-            raise ValueError("ridge must be non-negative")
-        object.__setattr__(self, "observed_idx", idx)
-        object.__setattr__(self, "observed_vals", vals)
+    def regularize(self, ridge: float) -> tuple[float, float]:
+        """(lam, condition) for a requested ridge.
+
+        lam is `ridge` unless e_min + ridge falls below `floor`; then lam =
+        floor - e_min, so a singular or indefinite K_oo still gives a finite
+        estimate. The condition number is (e_max + lam) / (e_min + lam).
+        """
+        e = self.e
+        lam = float(max(ridge, self.floor - e[0]))
+        return lam, float((e[-1] + lam) / (e[0] + lam))
+
+
+def spectral_smoother(kernel: CoordinateKernel, obs: np.ndarray) -> SpectralSmoother:
+    """Eigendecompose K_oo of `kernel` over the observed pixels `obs` (uncached).
+
+    Raises ValueError unless `obs` is a non-empty, strictly increasing list
+    of flat pixel indices within [0, P).
+    """
+    obs = _locked(obs, np.int64)
+    gram = kernel.gram
+    if (obs.ndim != 1 or obs.size < 1 or obs[0] < 0 or obs[-1] >= gram.shape[0]
+            or np.any(np.diff(obs) <= 0)):
+        raise ValueError("obs must be a non-empty, strictly increasing index list within [0, P)")
+    k_oo = gram[np.ix_(obs, obs)]
+    e, U = np.linalg.eigh(k_oo)
+    floor = max(EIG_FLOOR_REL * float(np.trace(k_oo)) / obs.size, np.finfo(np.float64).tiny)
+    return SpectralSmoother(kernel, obs, _locked(e, np.float64), _locked(U, np.float64),
+                            floor, _locked(gram[:, obs] @ U, np.float64))
 
 
 @dataclass(frozen=True)
 class BlockDiagnostics:
     """Per-block solver health: row band, ridge used, condition number, stage times.
 
-    `kernel_s` is the time spent getting the band's kernel: a build on a
-    cache miss, a lookup on a hit. `solve_s` is the time of the
-    eigendecomposition and solve. The bands of one mask group share its
-    ridge, condition, `kernel_s` and `solve_s`."""
+    `kernel_s` is the time spent getting the band's `SpectralSmoother`: on
+    a cache miss the kernel build, the eigendecomposition of K_oo and
+    B = K_ao U; on a hit a lookup. `solve_s` is the time `kernel_regress`
+    takes to filter the eigenvalues by the ridge and apply the smoother.
+    The bands of one mask group share its ridge, condition, `kernel_s` and
+    `solve_s`."""
 
     block_index: int
     ridge: float
@@ -112,33 +140,33 @@ class ImputedChannel:
         object.__setattr__(self, "h_hat", _locked(self.h_hat, np.complex128))
 
 
-def kernel_regress(problem: RegressionProblem) -> tuple[np.ndarray, float, float]:
-    """Solve Hhat = K_ao (K_oo + lam*I)^-1 y over all P pixels from one `eigh(K_oo)`.
+def kernel_regress(smoother: SpectralSmoother, values: np.ndarray,
+                   ridge: float) -> tuple[np.ndarray, float, float]:
+    """Hhat = K_ao (K_oo + lam*I)^-1 y over all P pixels, as B diag(1/(e+lam)) U^T y.
 
-    y is (n,) or (n, B) and Hhat is (P,) or (P, B). With K_oo = U diag(e) U^T,
-    lam is `problem.ridge` unless e_min + ridge falls below the floor
-    EIG_FLOOR_REL * trace(K_oo)/n (at least the smallest normal float); then
-    lam = floor - e_min, so a singular or indefinite K_oo still gives a
-    finite estimate. Returns (Hhat, lam, (e_max + lam) / (e_min + lam)).
+    `values` y is (n,) or (n, B), rows aligned with `smoother.obs`, and Hhat
+    is (P,) or (P, B). lam and the condition number come from
+    `smoother.regularize(ridge)`. Returns (Hhat, lam, condition).
     """
-    obs = problem.observed_idx
-    gram = problem.kernel.gram
-    k_oo = gram[np.ix_(obs, obs)]
-    e, U = np.linalg.eigh(k_oo)  # ascending eigenvalues
-    floor = max(EIG_FLOOR_REL * float(np.trace(k_oo)) / obs.size, np.finfo(np.float64).tiny)
-    lam = float(max(problem.ridge, floor - e[0]))
-    smoother = gram[:, obs] @ ((U / (e + lam)) @ U.T)
-    # Two right-hand sides per product, as for one band: a many-column product
-    # sums in an order that depends on its column count, so a band's bits
-    # would depend on how many bands share its mask; and OpenBLAS multithreads
-    # large products, where on 2 cores one 60-column product over a 168-pilot
-    # band took ~7 ms, mostly waking threads, against 0.25 ms for 30
-    # two-column products.
-    cols = [smoother @ np.column_stack([col.real, col.imag])
-            for col in problem.observed_vals.reshape(obs.size, -1).T]
-    out = np.stack(cols, axis=1)
-    est = (out[..., 0] + 1j * out[..., 1]).reshape((-1,) + problem.observed_vals.shape[1:])
-    return est, lam, float((e[-1] + lam) / (e[0] + lam))
+    vals = np.asarray(values, dtype=np.complex128)
+    n = smoother.obs.size
+    if vals.ndim > 2 or vals.shape[:1] != (n,):
+        raise ValueError(f"values must be (n,) or (n, B) with n = {n} observed pixels")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite (no NaN/Inf)")
+    if ridge < 0:
+        raise ValueError("ridge must be non-negative")
+    lam, cond = smoother.regularize(ridge)
+    cols = vals.reshape(n, -1).T
+    # One (n, 2) [re, im] block per column: stacked matmul makes one
+    # two-column BLAS call per block, with the shapes of a lone column, so a
+    # column's bits do not depend on how many columns share the smoother
+    # (a many-column product sums in an order that depends on its column
+    # count); and OpenBLAS does not thread calls this small.
+    ri = np.stack([cols.real, cols.imag], axis=-1)
+    out = np.matmul(smoother.B, (1.0 / (smoother.e + lam))[:, None] * np.matmul(smoother.U.T, ri))
+    est = out.view(np.complex128)[..., 0].T
+    return est.reshape((-1,) + vals.shape[1:]), lam, cond
 
 
 def auto_ridge(snr_db: float) -> float:
@@ -177,9 +205,9 @@ def _band_masks(sparse: SparseChannelEstimate) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _mask_kernel(shape: tuple[int, int], mask_bytes: bytes,
-                 cfg: CntkConfig, weights: PriorWeights) -> CoordinateKernel:
-    """The estimation kernel of a band mask given as C-ordered bool bytes; cached.
+def _mask_smoother(shape: tuple[int, int], mask_bytes: bytes,
+                   cfg: CntkConfig, weights: PriorWeights) -> SpectralSmoother:
+    """The spectral smoother of a band mask given as C-ordered bool bytes; cached.
 
     The kernel reads only the mask, so the band is built with zero values.
     The stages are looked up in this module at call time, where tests and
@@ -187,23 +215,32 @@ def _mask_kernel(shape: tuple[int, int], mask_bytes: bytes,
     """
     mask = np.frombuffer(mask_bytes, dtype=bool).reshape(shape)
     block = SparseChannelEstimate(np.zeros(shape, np.complex128), mask)
-    return normalize_kernel(compute_cntk(build_estimation_prior(block, weights), cfg))
+    kernel = normalize_kernel(compute_cntk(build_estimation_prior(block, weights), cfg))
+    return spectral_smoother(kernel, np.flatnonzero(mask))
 
 
-def estimation_kernel(sparse: SparseChannelEstimate, band: int,
-                      cfg: CntkConfig = CntkConfig(),
-                      weights: PriorWeights = PriorWeights()) -> CoordinateKernel:
-    """The unit-diagonal kernel `estimate_channel_cntk` solves band `band` of `sparse` with.
+def estimation_smoother(sparse: SparseChannelEstimate, band: int,
+                        cfg: CntkConfig = CntkConfig(),
+                        weights: PriorWeights = PriorWeights()) -> SpectralSmoother:
+    """The cached `SpectralSmoother` `estimate_channel_cntk` solves band `band` of `sparse` with.
 
-    Bands are the slot's 12-row resource blocks, numbered from 0. The kernel
-    comes from the estimator's per-process cache, keyed on the band mask,
-    `cfg` and `weights`, holding at most KERNEL_CACHE_SIZE kernels
+    Bands are the slot's 12-row resource blocks, numbered from 0. The
+    smoother comes from the estimator's per-process cache, keyed on the band
+    mask, `cfg` and `weights`, holding at most KERNEL_CACHE_SIZE smoothers
     (read-only, so callers share them).
     """
     masks = _band_masks(sparse)
     if not 0 <= band < len(masks):
         raise ValueError(f"block index {band} out of range [0, {len(masks)})")
-    return _mask_kernel(masks.shape[1:], masks[band].tobytes(), cfg, weights)
+    return _mask_smoother(masks.shape[1:], masks[band].tobytes(), cfg, weights)
+
+
+def estimation_kernel(sparse: SparseChannelEstimate, band: int,
+                      cfg: CntkConfig = CntkConfig(),
+                      weights: PriorWeights = PriorWeights()) -> CoordinateKernel:
+    """The unit-diagonal kernel `estimate_channel_cntk` solves band `band` of `sparse` with:
+    the kernel of `estimation_smoother(sparse, band, cfg, weights)`."""
+    return estimation_smoother(sparse, band, cfg, weights).kernel
 
 
 def estimate_channel_cntk(sparse: SparseChannelEstimate,
@@ -228,15 +265,14 @@ def estimate_channel_cntk(sparse: SparseChannelEstimate,
     diags = [None] * bands
     for key, members in groups.items():
         t0 = time.perf_counter()
-        kernel = _mask_kernel(masks.shape[1:], key, cfg, weights)
+        smoother = _mask_smoother(masks.shape[1:], key, cfg, weights)
         kernel_s = time.perf_counter() - t0
-        obs_idx = np.flatnonzero(masks[members[0]])
-        lam = default_ridge(kernel, obs_idx) if ridge is None else ridge
+        obs_idx = smoother.obs
+        lam = default_ridge(smoother.kernel, obs_idx) if ridge is None else ridge
         vals = values[np.ix_(members, obs_idx)]  # C order: each band mean sums as alone
         mean = vals.mean(axis=1, keepdims=True)
         t0 = time.perf_counter()
-        flat, lam_used, cond = kernel_regress(
-            RegressionProblem(kernel, obs_idx, (vals - mean).T, lam))
+        flat, lam_used, cond = kernel_regress(smoother, (vals - mean).T, lam)
         solve_s = time.perf_counter() - t0
         out[members] = flat.T + mean
         if ridge == 0:

@@ -16,7 +16,6 @@ from channel_cntk import (
     CntkConfig,
     CoordinateKernel,
     NoiseSpec,
-    RegressionProblem,
     ResourceGrid,
     SparseChannelEstimate,
     compute_cntk,
@@ -33,6 +32,7 @@ from channel_cntk import (
     nmse_db,
     preset_pattern,
     run_sweep,
+    spectral_smoother,
     transmit,
 )
 from channel_cntk import cli
@@ -131,7 +131,7 @@ def test_criterion_4_interpolation_exactness():
     kernel = estimation_kernel(sp, 0)
     obs = np.flatnonzero(pat.mask.reshape(-1))
     y = vals.reshape(-1)[obs]
-    reg_out, _, _ = kernel_regress(RegressionProblem(kernel, obs, y, 0.0))
+    reg_out, _, _ = kernel_regress(spectral_smoother(kernel, obs), y, 0.0)
     assert np.abs(reg_out[obs] - y).max() <= 1e-6 * np.abs(y).max()
     # (b) naive-inverse oracle on random 5x5-pixel instances
     for trial in range(5):
@@ -140,7 +140,7 @@ def test_criterion_4_interpolation_exactness():
         obs = np.sort(rng.choice(25, size=3, replace=False)).astype(np.int64)
         yy = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         lam = 1e-4
-        fast, _, _ = kernel_regress(RegressionProblem(K, obs, yy, lam))
+        fast, _, _ = kernel_regress(spectral_smoother(K, obs), yy, lam)
         k_oo = K.gram[np.ix_(obs, obs)]
         naive = K.gram[:, obs] @ np.linalg.inv(k_oo + lam * np.eye(3)) @ yy
         assert np.abs(fast - naive).max() <= 1e-8 * np.abs(naive).max()
@@ -242,10 +242,20 @@ def test_criterion_9_performance_budget():
     imp = estimate_channel_cntk(sp, ridge=1e-2)
     elapsed = time.perf_counter() - t0
     max_solve = max(d.solve_s for d in imp.diagnostics)
+    # the warm call finds its smoother cached, so solve_s no longer holds
+    # the eigendecomposition; bound that cold step on its own
+    band = SparseChannelEstimate(sp.values[:12], sp.mask[:12])
+    kernel = estimation_kernel(band, 0)
+    obs = np.flatnonzero(band.mask)
+    t0 = time.perf_counter()
+    spectral_smoother(kernel, obs)
+    factor_s = time.perf_counter() - t0
     assert elapsed < 5.0
     assert max_solve < 0.010
+    assert factor_s < 0.010
     _report(9, f"full image {elapsed:.2f} s < 5 s; max block solve "
-               f"{max_solve * 1e3:.2f} ms < 10 ms")
+               f"{max_solve * 1e3:.2f} ms < 10 ms; cold smoother build "
+               f"{factor_s * 1e3:.2f} ms < 10 ms")
 
 
 def test_criterion_10_noiseless_sanity():

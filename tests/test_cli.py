@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,32 @@ class TestKernelDump:
         expect = estimation_kernel(sparse, 1).gram
         got = np.loadtxt(out, delimiter=",")
         assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+
+    def test_dump_reports_spectrum(self, dataset, tmp_path, capsys):
+        # the minimum eigenvalue of K_oo and its condition number at the
+        # estimator's default ridge, read from the cached eigenpairs
+        out = tmp_path / "k.csv"
+        assert cli.main(["kernel-dump", "--dataset", str(dataset),
+                         "--block", "1", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        match = re.search(r"K_oo over (\d+) pilots: min eigenvalue (\S+), "
+                          r"condition (\S+) at the default ridge (\S+)", text)
+        assert match, text
+        from channel_cntk import imputer
+        from channel_cntk.cli import _sparse_from_record
+        manifest, records = load_dataset(dataset)
+        sparse = _sparse_from_record(records[0], manifest)
+        obs = np.flatnonzero(sparse.mask[12:24])
+        gram = np.loadtxt(out, delimiter=",")
+        k_oo = gram[np.ix_(obs, obs)]
+        lam = imputer.DEFAULT_RIDGE_REL * np.trace(k_oo) / obs.size
+        e_min = np.linalg.eigvalsh(k_oo)[0]
+        cond = np.linalg.cond(k_oo + lam * np.eye(obs.size))
+        n, got_e, got_cond, got_lam = match.groups()
+        assert int(n) == obs.size
+        assert abs(float(got_e) - e_min) <= 1e-10 * abs(e_min)
+        assert abs(float(got_cond) - cond) <= 1e-10 * cond
+        assert abs(float(got_lam) - lam) <= 1e-10 * lam
 
 
 @pytest.mark.parametrize("argv", [

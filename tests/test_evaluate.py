@@ -84,7 +84,7 @@ class TestRunSweep:
         kw = dict(rows=24, cols=14, measure_time=False)
         methods = ["nearest", "knn", "cntk"]
         a = run_sweep(methods, [0.0, 20.0], ["dense", "sparse"], 2, 3, n_threads=1, **kw)
-        imputer._mask_kernel.cache_clear()
+        imputer._mask_smoother.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

@@ -13,13 +13,13 @@ from channel_cntk import (
     CntkConfig,
     CoordinateKernel,
     PriorWeights,
-    RegressionProblem,
     SparseChannelEstimate,
     auto_ridge,
     estimate_channel_cntk,
     estimation_kernel,
     kernel_regress,
     preset_pattern,
+    spectral_smoother,
 )
 
 
@@ -52,7 +52,7 @@ class TestKernelRegress:
         rng = np.random.default_rng(0)
         K = _random_psd_kernel(rng, 3, 3)
         y = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        out, _, _ = kernel_regress(RegressionProblem(K, np.arange(9), y, 0.0))
+        out, _, _ = kernel_regress(spectral_smoother(K, np.arange(9)), y, 0.0)
         assert np.abs(out - y).max() < 1e-8
 
     def test_single_observation_scalar_ratio(self):
@@ -60,7 +60,7 @@ class TestKernelRegress:
         K = _random_psd_kernel(rng, 2, 3)
         o = 4
         v = 2.0 - 1.5j
-        out, _, _ = kernel_regress(RegressionProblem(K, np.array([o]), np.array([v]), 0.0))
+        out, _, _ = kernel_regress(spectral_smoother(K, np.array([o])), np.array([v]), 0.0)
         expect = v * K.gram[:, o] / K.gram[o, o]
         assert np.abs(out - expect).max() < 1e-12
 
@@ -71,7 +71,7 @@ class TestKernelRegress:
             obs = np.sort(rng.choice(25, size=3, replace=False)).astype(np.int64)
             y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             lam = 1e-3
-            out, _, _ = kernel_regress(RegressionProblem(K, obs, y, lam))
+            out, _, _ = kernel_regress(spectral_smoother(K, obs), y, lam)
             k_oo = K.gram[np.ix_(obs, obs)]
             naive = K.gram[:, obs] @ np.linalg.inv(k_oo + lam * np.eye(3)) @ y
             denom = np.abs(naive).max()
@@ -84,9 +84,9 @@ class TestKernelRegress:
         y1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         y2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         lam = 1e-6
-        a, _, _ = kernel_regress(RegressionProblem(K, obs, y1, lam))
-        b, _, _ = kernel_regress(RegressionProblem(K, obs, y2, lam))
-        ab, _, _ = kernel_regress(RegressionProblem(K, obs, y1 + y2, lam))
+        a, _, _ = kernel_regress(spectral_smoother(K, obs), y1, lam)
+        b, _, _ = kernel_regress(spectral_smoother(K, obs), y2, lam)
+        ab, _, _ = kernel_regress(spectral_smoother(K, obs), y1 + y2, lam)
         assert np.abs(ab - (a + b)).max() <= 1e-9 * np.abs(ab).max()
 
     def test_ridge_shrinkage(self):
@@ -94,7 +94,7 @@ class TestKernelRegress:
         K = _random_psd_kernel(rng, 4, 4)
         obs = np.array([0, 3, 7], dtype=np.int64)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        out, _, _ = kernel_regress(RegressionProblem(K, obs, y, 1e12))
+        out, _, _ = kernel_regress(spectral_smoother(K, obs), y, 1e12)
         assert np.abs(out).max() <= 1e-6 * np.abs(y).max()
 
     def test_singular_block_floored(self):
@@ -104,7 +104,7 @@ class TestKernelRegress:
         K = CoordinateKernel(np.outer(v, v), (2, 2))
         obs = np.array([0, 1], dtype=np.int64)
         y = np.array([1.0 + 0j, 2.0 + 0j])
-        out, lam, cond = kernel_regress(RegressionProblem(K, obs, y, 0.0))
+        out, lam, cond = kernel_regress(spectral_smoother(K, obs), y, 0.0)
         k_oo = K.gram[np.ix_(obs, obs)]
         floor = imputer.EIG_FLOOR_REL * np.trace(k_oo) / obs.size
         assert np.all(np.isfinite(out))
@@ -116,7 +116,7 @@ class TestKernelRegress:
         # is the smallest normal float, and the estimate is zero, not NaN
         K = CoordinateKernel(np.zeros((4, 4)), (2, 2))
         obs = np.array([1, 3], dtype=np.int64)
-        out, lam, cond = kernel_regress(RegressionProblem(K, obs, np.array([1 + 2j, -3j]), 0.0))
+        out, lam, cond = kernel_regress(spectral_smoother(K, obs), np.array([1 + 2j, -3j]), 0.0)
         assert np.array_equal(out, np.zeros(4, np.complex128))
         assert lam >= np.finfo(np.float64).tiny
         assert cond == 1.0
@@ -130,40 +130,55 @@ class TestKernelRegress:
                          [0.0, 0.5, 0.0, 1.0]])
         K = CoordinateKernel(gram, (2, 2))
         obs = np.array([0, 1], dtype=np.int64)
-        out, lam, cond = kernel_regress(RegressionProblem(K, obs, np.array([1 + 1j, 2 - 1j]), 1e-3))
+        out, lam, cond = kernel_regress(spectral_smoother(K, obs), np.array([1 + 1j, 2 - 1j]), 1e-3)
         floor = imputer.EIG_FLOOR_REL * 2.0 / 2
         assert np.all(np.isfinite(out))
         assert abs((lam - 1.0) - floor) <= 1e-4 * floor
         assert abs(cond - (3.0 + lam) / floor) <= 1e-4 * cond
 
     def test_columns_match_single_column_solves(self):
-        # an (n, B) problem solves every column with one factorization and
-        # gives the same bits as B separate (n,) problems
+        # an (n, B) problem solves every column with one eigendecomposition
+        # and gives the same bits as B separate (n,) problems
         rng = np.random.default_rng(15)
         K = _random_psd_kernel(rng, 4, 5)
         obs = np.array([0, 3, 7, 11, 18], dtype=np.int64)
         Y = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        out, _, _ = kernel_regress(RegressionProblem(K, obs, Y, 1e-3))
+        sm = spectral_smoother(K, obs)
+        out, _, _ = kernel_regress(sm, Y, 1e-3)
         assert out.shape == (20, 3)
         for b in range(3):
-            col, _, _ = kernel_regress(RegressionProblem(K, obs, Y[:, b], 1e-3))
+            col, _, _ = kernel_regress(sm, Y[:, b], 1e-3)
             assert np.array_equal(out[:, b], col)
         with pytest.raises(ValueError):
-            RegressionProblem(K, obs, np.vstack([Y, Y[:1]]), 1e-3)
+            kernel_regress(sm, np.vstack([Y, Y[:1]]), 1e-3)
 
     def test_problem_validation(self):
+        # the observed set is checked when the smoother is built, the values
+        # and the ridge when it is applied
         rng = np.random.default_rng(5)
         K = _random_psd_kernel(rng, 2, 2)
         with pytest.raises(ValueError):
-            RegressionProblem(K, np.array([2, 1]), np.array([1j, 2j]), 0.0)
+            spectral_smoother(K, np.array([2, 1]))
         with pytest.raises(ValueError):
-            RegressionProblem(K, np.array([0, 9]), np.array([1j, 2j]), 0.0)
+            spectral_smoother(K, np.array([0, 9]))
         with pytest.raises(ValueError):
-            RegressionProblem(K, np.array([0, 1]), np.array([1j, 2j]), -1.0)
+            spectral_smoother(K, np.array([-1, 0]))
         with pytest.raises(ValueError):
-            RegressionProblem(K, np.array([], dtype=np.int64), np.array([]), 0.0)
+            spectral_smoother(K, np.array([], dtype=np.int64))
+        sm = spectral_smoother(K, np.array([0, 1]))
+        with pytest.raises(ValueError):
+            kernel_regress(sm, np.array([1j, 2j]), -1.0)
         with pytest.raises(ValueError, match="finite"):
-            RegressionProblem(K, np.array([0, 1]), np.array([np.nan, 2j]), 0.0)
+            kernel_regress(sm, np.array([np.nan, 2j]), 0.0)
+        with pytest.raises(ValueError):
+            kernel_regress(sm, np.ones((2, 1, 1)), 0.0)
+
+    def test_smoother_is_read_only(self):
+        # cached smoothers are shared by every caller in the process
+        rng = np.random.default_rng(6)
+        sm = spectral_smoother(_random_psd_kernel(rng, 2, 3), np.array([1, 4]))
+        for arr in (sm.obs, sm.e, sm.U, sm.B, sm.kernel.gram):
+            assert not arr.flags.writeable
 
 
 class TestEstimateChannel:
@@ -280,9 +295,9 @@ class TestEstimationKernel:
         mask = _alternating_mask(48)
         sp = SparseChannelEstimate(_random_pilots(rng, mask), mask)
         for b, band in enumerate(_bands(sp)):
-            imputer._mask_kernel.cache_clear()
+            imputer._mask_smoother.cache_clear()
             in_slot = estimation_kernel(sp, b).gram
-            imputer._mask_kernel.cache_clear()
+            imputer._mask_smoother.cache_clear()
             assert np.array_equal(in_slot, estimation_kernel(band, 0).gram)
 
 
@@ -314,48 +329,108 @@ def test_estimator_is_homogeneous_and_shift_equivariant(mask, ridge):
     assert np.abs(est_mapped - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
-def _count_calls(monkeypatch, sparse, clear=True):
-    """(kernel builds, kernel_regress calls) of one estimate, from an empty
-    kernel cache unless clear=False."""
+def _count_calls(monkeypatch, sparse, clear=True, **kwargs):
+    """(kernel builds, K_oo eigendecompositions, kernel_regress calls) of one
+    estimate at ridge 1e-2 unless kwargs say otherwise, from an empty
+    smoother cache unless clear=False."""
     if clear:
-        imputer._mask_kernel.cache_clear()
-    counts = {"compute_cntk": 0, "kernel_regress": 0}
-    for name in counts:
-        def counting(*args, _name=name, _original=getattr(imputer, name)):
-            counts[_name] += 1
+        imputer._mask_smoother.cache_clear()
+    counts = {(imputer, "compute_cntk"): 0, (np.linalg, "eigh"): 0,
+              (imputer, "kernel_regress"): 0}
+    for key in counts:
+        def counting(*args, _key=key, _original=getattr(*key)):
+            counts[_key] += 1
             return _original(*args)
-        monkeypatch.setattr(imputer, name, counting)
-    estimate_channel_cntk(sparse, ridge=1e-2)
+        monkeypatch.setattr(*key, counting)
+    estimate_channel_cntk(sparse, **{"ridge": 1e-2, **kwargs})
     monkeypatch.undo()
-    return counts["compute_cntk"], counts["kernel_regress"]
+    return tuple(counts.values())
 
 
 def test_kernel_built_once_per_distinct_band_mask(monkeypatch):
     rng = np.random.default_rng(14)
     pat = preset_pattern("dense", 360, 14)
     dense = SparseChannelEstimate(_random_pilots(rng, pat.mask), pat.mask)
-    assert _count_calls(monkeypatch, dense) == (1, 1)
-    # the kernel outlives the call: the next slot with the same mask builds none
+    assert _count_calls(monkeypatch, dense) == (1, 1, 1)
+    # the smoother outlives the call: the next slot with the same mask builds
+    # no kernel and eigendecomposes nothing
     again = SparseChannelEstimate(_random_pilots(rng, pat.mask), pat.mask)
-    assert _count_calls(monkeypatch, again, clear=False) == (0, 1)
+    assert _count_calls(monkeypatch, again, clear=False) == (0, 0, 1)
     # bands alternate between two masks: one build and one solve per mask
     mask = _alternating_mask(360)
     alternating = SparseChannelEstimate(_random_pilots(rng, mask), mask)
-    assert _count_calls(monkeypatch, alternating) == (2, 2)
+    assert _count_calls(monkeypatch, alternating) == (2, 2, 2)
+
+
+def test_ridge_change_reuses_eigenpairs(monkeypatch):
+    # the ridge only filters the cached eigenvalues; a CntkConfig change
+    # is a new kernel, so one eigendecomposition per distinct mask
+    rng = np.random.default_rng(19)
+    mask = _alternating_mask(360)
+    sparse = SparseChannelEstimate(_random_pilots(rng, mask), mask)
+    assert _count_calls(monkeypatch, sparse) == (2, 2, 2)
+    for ridge in (None, 0.0, auto_ridge(30.0)):
+        assert _count_calls(monkeypatch, sparse, clear=False, ridge=ridge) == (0, 0, 2)
+    assert _count_calls(monkeypatch, sparse, clear=False, cfg=CntkConfig(depth=4)) == (2, 2, 2)
 
 
 def test_kernel_time_is_shared_within_a_mask_group():
-    # kernel_s times getting the group's kernel: a build on the first call,
-    # a cache lookup on the next; the bands of one mask share it
+    # kernel_s times getting the group's smoother: a kernel build, K_oo's
+    # eigendecomposition and K_ao U on the first call, a cache lookup on the
+    # next; the bands of one mask share it
     rng = np.random.default_rng(17)
     mask = _alternating_mask(48)
     sparse = SparseChannelEstimate(_random_pilots(rng, mask), mask)
-    imputer._mask_kernel.cache_clear()
+    imputer._mask_smoother.cache_clear()
     for _ in range(2):
         diags = estimate_channel_cntk(sparse).diagnostics
         assert all(d.kernel_s >= 0 for d in diags)
         for group in (diags[0::2], diags[1::2]):
             assert len({d.kernel_s for d in group}) == 1
+
+
+def _fresh_eigh_estimate(sparse, ridge):
+    """Reference estimate that eigendecomposes each band's K_oo afresh and
+    applies K_ao (U diag(1/(e + lam)) U^T) to the centered pilots, with the
+    floor, lam and condition number as the estimator defines them.
+    Returns (h_hat, ridges, conditions)."""
+    h_hat = np.empty(sparse.shape, np.complex128)
+    ridges, conds = [], []
+    for band in range(sparse.shape[0] // 12):
+        rows = slice(12 * band, 12 * band + 12)
+        gram = estimation_kernel(sparse, band).gram
+        obs = np.flatnonzero(sparse.mask[rows])
+        y = sparse.values[rows].reshape(-1)[obs]
+        k_oo = gram[np.ix_(obs, obs)]
+        e, U = np.linalg.eigh(k_oo)
+        trace = float(np.trace(k_oo))
+        floor = max(imputer.EIG_FLOOR_REL * trace / obs.size, np.finfo(np.float64).tiny)
+        requested = (imputer.default_ridge(CoordinateKernel(gram, (12, 14)), obs)
+                     if ridge is None else ridge)
+        lam = float(max(requested, floor - e[0]))
+        est = gram[:, obs] @ ((U / (e + lam)) @ U.T) @ (y - y.mean()) + y.mean()
+        if ridge == 0:
+            est[obs] = y
+        h_hat[rows] = est.reshape(12, 14)
+        ridges.append(lam)
+        conds.append(float((e[-1] + lam) / (e[0] + lam)))
+    return h_hat, ridges, conds
+
+
+def test_cached_smoother_matches_fresh_eigh():
+    # the eigenpairs cached per mask give the estimate of a fresh
+    # eigendecomposition per call, with the same ridge and condition
+    rng = np.random.default_rng(20)
+    masks = [preset_pattern(p, 12, 14).mask for p in ("dense", "medium", "sparse")]
+    masks += [_erased_mask(rng, 12) for _ in range(20)]
+    for mask in masks:
+        sp = SparseChannelEstimate(_random_pilots(rng, mask), mask)
+        for ridge in (None, 0.0, 1e-3, auto_ridge(10.0), auto_ridge(30.0)):
+            ref, ridges, conds = _fresh_eigh_estimate(sp, ridge)
+            imp = estimate_channel_cntk(sp, ridge=ridge)
+            assert np.abs(imp.h_hat - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert [d.ridge for d in imp.diagnostics] == ridges
+            assert [d.condition for d in imp.diagnostics] == conds
 
 
 def test_kernel_cache_hit_equals_cold_call():
@@ -365,7 +440,7 @@ def test_kernel_cache_hit_equals_cold_call():
     rng = np.random.default_rng(16)
     mask = _alternating_mask(48)
     sparse = SparseChannelEstimate(_random_pilots(rng, mask), mask)
-    cache = imputer._mask_kernel
+    cache = imputer._mask_smoother
     for kwargs, builds in ((dict(cfg=CntkConfig(depth=4)), 2),
                            (dict(weights=PriorWeights(mask=0.3)), 2),
                            (dict(ridge=auto_ridge(10.0)), 0)):
@@ -397,7 +472,7 @@ def test_escalation_ladder_recovers_singular_block():
     K = CoordinateKernel(gram, (4, 4))
     obs = np.array([0, 1, 2], dtype=np.int64)
     y = np.array([1 + 1j, 2 + 0j, 0.5j])
-    out, lam, _ = kernel_regress(RegressionProblem(K, obs, y, 0.0))
+    out, lam, _ = kernel_regress(spectral_smoother(K, obs), y, 0.0)
     assert np.all(np.isfinite(out))
     assert lam > 0
 
