@@ -46,7 +46,11 @@ def derive_seed(seed: int, *indices: int) -> int:
     """Mix stream indices into a base seed.
 
     Parallel and serial generation of the same (seed, index) pairs produce
-    identical realizations, so datasets are schedule-independent.
+    identical realizations, so datasets are schedule-independent. The mix
+    is a fold over the indices, so derive_seed(derive_seed(s, i), j) ==
+    derive_seed(s, i, j) for any int seed s: the `simulate` command seeds
+    `evaluate.simulate_cell` with derive_seed(seed, r) and so reads the
+    streams derive_seed(seed, r, k) it always has.
     """
     h = seed & _MASK64
     for idx in indices:

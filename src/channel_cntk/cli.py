@@ -19,19 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import container
-from .chansim import (
-    DEFAULT_DOPPLER_HZ,
-    DEFAULT_TAPS,
-    NoiseSpec,
-    TdlProfile,
-    derive_seed,
-    generate_channel,
-    make_qpsk_grid,
-    transmit,
-)
+from . import container, imputer
+from .chansim import DEFAULT_DOPPLER_HZ, DEFAULT_TAPS, TdlProfile, derive_seed
 from .cntk import CntkConfig
-from .evaluate import METHOD_TAGS, make_method, run_sweep
+from .evaluate import METHOD_TAGS, error_ratio, make_method, ratio_db, run_sweep, simulate_cell
 from .grid import (
     DEFAULT_SUBCARRIER_SPACING_HZ,
     DEFAULT_SYMBOL_DURATION_S,
@@ -42,7 +33,7 @@ from .grid import (
     make_pilot_pattern,
     preset_pattern,
 )
-from .imputer import default_ridge, estimation_smoother
+from .imputer import auto_ridge, default_ridge, estimate_channel_cntk, estimation_smoother
 
 
 class CliError(Exception):
@@ -168,10 +159,9 @@ def cmd_simulate(args) -> int:
 
     records = []
     for r in range(realizations):
-        profile = TdlProfile(taps, doppler, derive_seed(seed, r, 0))
-        channel = generate_channel(profile, rows, cols, scs, tsym)
-        x = make_qpsk_grid(rows, cols, derive_seed(seed, r, 1), scs, tsym)
-        y = transmit(channel, x, NoiseSpec(snr_db, derive_seed(seed, r, 2)))
+        channel, x, y = simulate_cell(derive_seed(seed, r), snr_db, rows, cols,
+                                      subcarrier_spacing_hz=scs, symbol_duration_s=tsym,
+                                      taps=taps, doppler_hz=doppler)
         records.append(container.DatasetRecord(channel.h, x.data, y.data,
                                                pattern.mask))
     manifest = {
@@ -210,10 +200,18 @@ def cmd_estimate(args) -> int:
     ridge = args.ridge
     if ridge is None and args.method == "cntk":
         # noise-matched default against the dataset's recorded SNR
-        from .imputer import auto_ridge
         ridge = auto_ridge(_checked(manifest.get("snr_db", math.inf), float, "snr_db"))
         print(f"ridge: auto (snr {manifest.get('snr_db')} dB -> {ridge:g})")
-    fn = make_method(args.method, cntk_cfg=cntk_cfg, cntk_ridge=ridge, knn_k=args.knn_k)
+    diags = []  # the cntk bands' solver diagnostics, for the summary line
+    if args.method == "cntk":
+        cache_before = imputer._mask_smoother.cache_info()
+
+        def fn(sparse):
+            imputed = estimate_channel_cntk(sparse, cntk_cfg, ridge)
+            diags.extend(imputed.diagnostics)
+            return imputed.h_hat
+    else:
+        fn = make_method(args.method, knn_k=args.knn_k)
     estimates = []
     ratio_sum = 0.0
     max_pilot_residual = 0.0
@@ -221,18 +219,22 @@ def cmd_estimate(args) -> int:
         sparse = _sparse_from_record(rec, manifest)
         h_hat = fn(sparse)
         estimates.append(h_hat)
-        err = float(np.sum(np.abs(rec.h_true - h_hat) ** 2))
-        ref = float(np.sum(np.abs(rec.h_true) ** 2))
-        ratio_sum += err / ref
+        ratio = error_ratio(rec.h_true, h_hat)
+        ratio_sum += ratio
         resid = np.abs(h_hat[sparse.mask] - sparse.values[sparse.mask])
         scale = max(float(np.abs(sparse.values[sparse.mask]).max()), 1e-300)
         max_pilot_residual = max(max_pilot_residual, float(resid.max()) / scale)
-        rec_nmse = "-inf" if err == 0.0 else f"{10.0 * math.log10(err / ref):.3f}"
-        print(f"record {i}: nmse {rec_nmse} dB")
-    mean_ratio = ratio_sum / len(records)
-    agg = "-inf" if mean_ratio == 0.0 else f"{10.0 * math.log10(mean_ratio):.3f}"
-    print(f"aggregate nmse ({len(records)} records): {agg} dB")
+        print(f"record {i}: nmse {ratio_db(ratio):.3f} dB")
+    print(f"aggregate nmse ({len(records)} records): "
+          f"{ratio_db(ratio_sum / len(records)):.3f} dB")
     print(f"max pilot residual (relative): {max_pilot_residual:.3e}")
+    if diags:
+        cache = imputer._mask_smoother.cache_info()
+        print(f"cntk solver: {len(diags)} bands, "
+              f"{sum(d.ridge > ridge for d in diags)} ridge(s) lifted by the eigenvalue floor, "
+              f"worst condition {max(d.condition for d in diags):.3e}, smoother cache "
+              f"{cache.hits - cache_before.hits} hit(s), "
+              f"{cache.misses - cache_before.misses} miss(es)")
     out_path = _resolve_out(args.out)
     est_manifest = {
         "method": args.method, "source": Path(args.dataset).name,

@@ -166,19 +166,19 @@ def build_estimation_prior(sparse: SparseChannelEstimate,
     return PriorTensor(planes)
 
 
-def leaky_relu_duals(lam11, lam22, lam12, neg_slope: float, pos_slope: float):
-    """Gaussian dual of the leaky ReLU: (Sigma, Sigma_dot).
+def leaky_relu_duals(lam11, lam22, lam12, neg_slope: float):
+    """Gaussian dual of the leaky ReLU of slopes a = neg_slope and 1: (Sigma, Sigma_dot).
 
     For (u, v) zero-mean bivariate normal with covariance
     [[lam11, lam12], [lam12, lam22]], returns E[act(u)act(v)] and
     E[act'(u)act'(v)] in closed form. With root = sqrt(lam11*lam22),
     rho = lam12/root clamped to [-1, 1], theta = arccos(rho) and
-    c = (b-a)^2/(2*pi):
+    c = (1-a)^2/(2*pi):
 
-        Sigma_dot = a*b + c*(pi - theta)
+        Sigma_dot = a + c*(pi - theta)
         Sigma     = root * (rho*Sigma_dot + c*sqrt(1 - rho^2))
 
-    which is a*b*rho + ((b-a)^2/2)*kappa1 times root, with the arc-cosine
+    which is a*rho + ((1-a)^2/2)*kappa1 times root, with the arc-cosine
     kernels kappa0 = (pi - theta)/pi and
     kappa1 = (sqrt(1 - rho^2) + (pi - theta)*rho)/pi. Degenerate pixels
     (lam11*lam22 < EPS_RHO^2) take the rho = 0 limit: Sigma = 0 and
@@ -199,15 +199,15 @@ def leaky_relu_duals(lam11, lam22, lam12, neg_slope: float, pos_slope: float):
     rho = np.abs(lam12, out=np.empty(shape))
     if np.any(rho > root + COV_TOL):
         raise ValueError("invalid covariance: |lam12| exceeds sqrt(lam11*lam22)")
-    a, b = neg_slope, pos_slope
-    c = (b - a) ** 2 / (2 * np.pi)
+    a = neg_slope
+    c = (1.0 - a) ** 2 / (2 * np.pi)
     np.divide(lam12, root, out=rho, where=~degenerate)
     np.copyto(rho, 0.0, where=degenerate)
     np.clip(rho, -1.0, 1.0, out=rho)
     sigma_dot = np.arccos(rho, out=np.empty(shape))
     np.subtract(np.pi, sigma_dot, out=sigma_dot)
     sigma_dot *= c
-    sigma_dot += a * b
+    sigma_dot += a
     # sin(theta) as sqrt(1 - rho^2), a fraction of np.sin's cost; |rho| <= 1
     # makes 1 - rho*rho >= 0 exactly
     sine = np.multiply(rho, rho, out=np.empty(shape))
@@ -309,7 +309,7 @@ def compute_cntk(prior: PriorTensor, cfg: CntkConfig = CntkConfig()) -> Coordina
         theta = patch_aggregate(theta, (M, N), cfg.filter_size)
         # the aggregated covariance is PSD up to rounding; clip float dust
         diag = np.maximum(np.diag(cov).copy(), 0.0)
-        sigma, sigma_dot = leaky_relu_duals(diag[:, None], diag[None, :], cov, cfg.neg_slope, 1.0)
+        sigma, sigma_dot = leaky_relu_duals(diag[:, None], diag[None, :], cov, cfg.neg_slope)
         theta *= sigma_dot
         theta += sigma
     gram = 0.5 * (theta + theta.T)

@@ -4,10 +4,10 @@ Sweep-level NMSE puts the expectation inside the log: the linear error
 ratio is averaged across realizations first, then converted to dB. A ratio
 of exactly zero is recorded as the -inf sentinel (serialized as "-inf").
 
-Determinism: every (snr, pattern, realization) data cell derives its RNG
-streams from the sweep seed by a fixed 64-bit hash, so all methods see
-identical channels and noise, and results are independent of scheduling
-and thread count.
+Determinism: `run_sweep` simulates every (snr, pattern, realization) data
+cell once, with `simulate_cell`, from streams derived from the sweep seed by
+a fixed 64-bit hash, and runs every method on that slot; so all methods see
+identical channels and noise, and results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -47,11 +47,10 @@ METHOD_TAGS = ("cntk", "nearest", "knn", "linear")
 CSV_HEADER = "method,snr_db,pilots_per_rb,nmse_db,mean_solve_s,realizations,seed"
 
 
-def nmse_db(h_true: np.ndarray, h_hat: np.ndarray) -> float:
-    """10*log10(||H - Hhat||_F^2 / ||H||_F^2) for one realization.
+def error_ratio(h_true: np.ndarray, h_hat: np.ndarray) -> float:
+    """||H - Hhat||_F^2 / ||H||_F^2 for one realization.
 
-    Returns -inf when the estimate is exact. Raises ValueError on dimension
-    mismatch or an all-zero reference.
+    Raises ValueError on dimension mismatch or an all-zero reference.
     """
     h_true = np.asarray(h_true)
     h_hat = np.asarray(h_hat)
@@ -60,10 +59,17 @@ def nmse_db(h_true: np.ndarray, h_hat: np.ndarray) -> float:
     ref = float(np.sum(np.abs(h_true) ** 2))
     if ref == 0.0:
         raise ValueError("reference channel has zero norm")
-    err = float(np.sum(np.abs(h_true - h_hat) ** 2))
-    if err == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(err / ref)
+    return float(np.sum(np.abs(h_true - h_hat) ** 2)) / ref
+
+
+def ratio_db(ratio: float) -> float:
+    """10*log10(ratio), or -inf when the ratio is zero (an exact estimate)."""
+    return -math.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
+
+
+def nmse_db(h_true: np.ndarray, h_hat: np.ndarray) -> float:
+    """NMSE in dB of one realization (-inf when exact); see `error_ratio`."""
+    return ratio_db(error_ratio(h_true, h_hat))
 
 
 def make_method(tag: str, *, cntk_cfg: CntkConfig = CntkConfig(),
@@ -101,8 +107,7 @@ class SweepResult:
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for r in self.rows:
-            nmse = "-inf" if r.nmse_db == -math.inf else repr(r.nmse_db)
-            lines.append(f"{r.method},{r.snr_db!r},{r.pilots_per_rb},{nmse},"
+            lines.append(f"{r.method},{r.snr_db!r},{r.pilots_per_rb},{r.nmse_db!r},"
                          f"{r.mean_solve_s!r},{r.realizations},{r.seed}")
         return "\n".join(lines) + "\n"
 
@@ -120,8 +125,7 @@ class SweepResult:
             lines.append(f"# series method={method} pilots_per_rb={density}")
             lines.append("# snr_db nmse_db")
             for r in sorted(rows, key=lambda r: r.snr_db):
-                nmse = "-inf" if r.nmse_db == -math.inf else repr(r.nmse_db)
-                lines.append(f"{r.snr_db!r} {nmse}")
+                lines.append(f"{r.snr_db!r} {r.nmse_db!r}")
             lines.append("")
         return "\n".join(lines)
 
@@ -130,6 +134,19 @@ def _resolve_pattern(pattern, rows: int, cols: int) -> PilotPattern:
     if isinstance(pattern, PilotPattern):
         return pattern
     return preset_pattern(pattern, rows, cols)
+
+
+def simulate_cell(data_seed: int, snr_db: float, rows: int, cols: int, *,
+                  subcarrier_spacing_hz: float, symbol_duration_s: float,
+                  taps, doppler_hz: float):
+    """(channel, transmit grid, received grid) of one data cell: streams 0, 1
+    and 2 of `data_seed` seed the channel profile, the QPSK grid and the noise."""
+    profile = TdlProfile(taps, doppler_hz, derive_seed(data_seed, 0))
+    channel = generate_channel(profile, rows, cols, subcarrier_spacing_hz, symbol_duration_s)
+    x = make_qpsk_grid(rows, cols, derive_seed(data_seed, 1),
+                       subcarrier_spacing_hz, symbol_duration_s)
+    y = transmit(channel, x, NoiseSpec(snr_db, derive_seed(data_seed, 2)))
+    return channel, x, y
 
 
 def run_sweep(methods: Sequence[str], snr_list: Sequence[float],
@@ -143,12 +160,13 @@ def run_sweep(methods: Sequence[str], snr_list: Sequence[float],
               measure_time: bool = True, n_threads: int = 1) -> SweepResult:
     """Run every (method, snr, pattern) cell over shared channel realizations.
 
-    The channel, transmit grid, and noise of realization r depend only on
-    (seed, snr index, pattern index, r), never on the method, so methods are
-    compared on identical data. cntk_ridge "auto" (or None) matches the
-    ridge to the cell's operating SNR (see imputer.auto_ridge); a number
-    pins it across all cells. With measure_time=False the timing column is
-    pinned to 0.0 and the CSV is byte-reproducible across runs.
+    Realization r of an (snr, pattern) cell is simulated once, from data
+    seed derive_seed(seed, snr index, pattern index, r), and every method
+    estimates that slot, so a method's row does not depend on the others.
+    cntk_ridge "auto" (or None) matches the ridge to the cell's operating
+    SNR (see imputer.auto_ridge); a number pins it across all cells. With
+    measure_time=False the timing column is pinned to 0.0 and the CSV is
+    byte-reproducible across runs.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
@@ -160,40 +178,31 @@ def run_sweep(methods: Sequence[str], snr_list: Sequence[float],
         raise ValueError("at least one pattern required")
     resolved = [_resolve_pattern(p, rows, cols) for p in patterns]
 
-    def method_fn(tag: str, snr: float):
-        ridge = cntk_ridge
-        if tag == "cntk" and (ridge == "auto" or ridge is None):
-            ridge = auto_ridge(snr)
-        return make_method(tag, cntk_cfg=cntk_cfg, cntk_ridge=ridge, knn_k=knn_k)
-
     def run_cell(cell):
-        method, (si, snr), (pi, pattern) = cell
-        fn = method_fn(method, snr)
-        ratio_sum = 0.0
-        time_sum = 0.0
+        (si, snr), (pi, pattern) = cell
+        ridge = auto_ridge(snr) if cntk_ridge == "auto" or cntk_ridge is None else cntk_ridge
+        fns = [make_method(m, cntk_cfg=cntk_cfg, cntk_ridge=ridge, knn_k=knn_k)
+               for m in methods]
+        ratio_sums = [0.0] * len(fns)
+        time_sums = [0.0] * len(fns)
         for r in range(realizations):
-            data_seed = derive_seed(seed, si, pi, r)
-            profile = TdlProfile(taps, doppler_hz, derive_seed(data_seed, 0))
-            channel = generate_channel(profile, rows, cols,
-                                       subcarrier_spacing_hz, symbol_duration_s)
-            x = make_qpsk_grid(rows, cols, derive_seed(data_seed, 1),
-                               subcarrier_spacing_hz, symbol_duration_s)
-            y = transmit(channel, x, NoiseSpec(snr, derive_seed(data_seed, 2)))
+            channel, x, y = simulate_cell(
+                derive_seed(seed, si, pi, r), snr, rows, cols,
+                subcarrier_spacing_hz=subcarrier_spacing_hz,
+                symbol_duration_s=symbol_duration_s, taps=taps, doppler_hz=doppler_hz)
             sparse = ls_estimate(y, x, pattern)
-            t0 = time.perf_counter()
-            h_hat = fn(sparse)
-            if measure_time:
-                time_sum += time.perf_counter() - t0
-            err = float(np.sum(np.abs(channel.h - h_hat) ** 2))
-            ref = float(np.sum(np.abs(channel.h) ** 2))
-            ratio_sum += err / ref
-        mean_ratio = ratio_sum / realizations
-        nmse = -math.inf if mean_ratio == 0.0 else 10.0 * math.log10(mean_ratio)
-        return SweepRow(method, float(snr), pattern.pilots_per_rb, nmse,
-                        time_sum / realizations, realizations, seed)
+            for k, fn in enumerate(fns):
+                t0 = time.perf_counter()
+                h_hat = fn(sparse)
+                if measure_time:
+                    time_sums[k] += time.perf_counter() - t0
+                ratio_sums[k] += error_ratio(channel.h, h_hat)
+        return [SweepRow(m, float(snr), pattern.pilots_per_rb,
+                         ratio_db(ratio_sums[k] / realizations),
+                         time_sums[k] / realizations, realizations, seed)
+                for k, m in enumerate(methods)]
 
-    cells = [(m, (si, snr), (pi, pat))
-             for m in methods
+    cells = [((si, snr), (pi, pat))
              for si, snr in enumerate(snr_list)
              for pi, pat in enumerate(resolved)]
     if n_threads > 1:
@@ -201,5 +210,5 @@ def run_sweep(methods: Sequence[str], snr_list: Sequence[float],
             out = list(pool.map(run_cell, cells))
     else:
         out = [run_cell(c) for c in cells]
-    return SweepResult(tuple(out))
-
+    return SweepResult(tuple(rows_of_cell[k] for k in range(len(methods))
+                             for rows_of_cell in out))

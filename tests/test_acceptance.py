@@ -59,7 +59,7 @@ def test_criterion_1_dual_activation_oracle():
     for lam11, lam22 in pairs:
         for k, rho in enumerate(rhos):
             lam12 = float(rho * np.sqrt(lam11 * lam22))
-            s, sd = leaky_relu_duals(lam11, lam22, lam12, 0.05, 1.0)
+            s, sd = leaky_relu_duals(lam11, lam22, lam12, 0.05)
             s_mc, sd_mc, se_s, se_sd = mc_dual_oracle(
                 lam11, lam22, lam12, 0.05, 1.0, 1_000_000,
                 seed=1000 + 100 * int(lam11 * 4) + k)

@@ -177,3 +177,9 @@ def test_derive_seed_properties():
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
     assert derive_seed(1, 2) != derive_seed(2, 2)
     assert 0 <= derive_seed(2**63, 2**62) < 2**64
+    # a fold: deriving in two steps equals deriving in one, which the
+    # simulate command relies on to match the sweep's seed layout
+    for seed in (0, 7, -1, -(2**70) + 3, 2**64, 2**64 + 5, 2**80 + 11):
+        for r in (0, 1, 2**64 + 1, -3):
+            for k in (0, 1, 2):
+                assert derive_seed(derive_seed(seed, r), k) == derive_seed(seed, r, k)

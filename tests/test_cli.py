@@ -1,12 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from channel_cntk import CntkConfig, cli
+from channel_cntk import CntkConfig, cli, imputer
 from channel_cntk.container import load_dataset, load_estimates
 
 
@@ -53,6 +54,16 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
         assert cli.main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_dataset_bytes_pinned(self, tmp_path):
+        # the dataset layout and seed streams are a file format: a change that
+        # moves any byte of this small dataset has to say so
+        cfg = _write_config(tmp_path / "pin.json", seed=7, realizations=2, rows=24,
+                            cols=14, snr_db=10.0, pattern="dense")
+        out = tmp_path / "pin.bin"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9e2bf84771be642ebdf76de09b43e34f58f5cbe38e230aa7557f03437ad2d20a")
 
     def test_custom_pattern_object(self, tmp_path):
         cfg = _write_config(tmp_path / "pat.json", seed=5, rows=24,
@@ -119,6 +130,22 @@ class TestEstimate:
         assert len(estimates) == 2
         assert estimates[0].shape == (24, 14)
 
+    def test_cntk_solver_summary(self, dataset, tmp_path, capsys):
+        # both records share one band mask: the first fills the smoother
+        # cache, the second hits it
+        imputer._mask_smoother.cache_clear()
+        assert cli.main(["estimate", "--dataset", str(dataset), "--method", "cntk",
+                         "--out", str(tmp_path / "est.bin")]) == 0
+        line = [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("cntk solver:")]
+        assert len(line) == 1
+        m = re.fullmatch(r"cntk solver: (\d+) bands, (\d+) ridge\(s\) lifted by the "
+                         r"eigenvalue floor, worst condition (\S+), smoother cache "
+                         r"(\d+) hit\(s\), (\d+) miss\(es\)", line[0])
+        assert m is not None, line[0]
+        assert (int(m[1]), int(m[2]), int(m[4]), int(m[5])) == (4, 0, 1, 1)
+        assert 1.0 <= float(m[3]) < 1e12
+
     def test_unknown_method_lists_tags(self, dataset, tmp_path, capsys):
         code = cli.main(["estimate", "--dataset", str(dataset),
                          "--method", "bogus", "--out", str(tmp_path / "e.bin")])
@@ -140,12 +167,13 @@ class TestEstimate:
         resid_line = [ln for ln in out.splitlines() if "pilot residual" in ln][0]
         assert float(resid_line.split(":")[1]) < 1e-6
 
-    def test_baseline_methods(self, dataset, tmp_path):
+    def test_baseline_methods(self, dataset, tmp_path, capsys):
         for method in ("nearest", "knn", "linear"):
             code = cli.main(["estimate", "--dataset", str(dataset),
                              "--method", method,
                              "--out", str(tmp_path / f"{method}.bin")])
             assert code == 0
+            assert "cntk solver" not in capsys.readouterr().out
 
 
 class TestSweep:

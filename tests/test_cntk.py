@@ -31,38 +31,38 @@ from value_prior import value_prior
 class TestLeakyReluDuals:
     def test_unit_correlated(self):
         # E[act(u)^2] = (a^2 + b^2)/2 for standard normal u
-        s, sd = leaky_relu_duals(1, 1, 1, 0.05, 1.0)
+        s, sd = leaky_relu_duals(1, 1, 1, 0.05)
         assert abs(s - 0.50125) < 1e-12
         assert abs(sd - 0.50125) < 1e-12
 
     def test_identity_activation(self):
-        s, sd = leaky_relu_duals(1, 1, 1, 1.0, 1.0)
+        s, sd = leaky_relu_duals(1, 1, 1, 1.0)
         assert abs(s - 1.0) < 1e-12
         assert abs(sd - 1.0) < 1e-12
 
     def test_independent_inputs(self):
         # kappa0(0) = 1/2: sigma_dot = 0.05 + 0.9025/4
-        _, sd = leaky_relu_duals(1, 1, 0, 0.05, 1.0)
+        _, sd = leaky_relu_duals(1, 1, 0, 0.05)
         assert abs(sd - 0.275625) < 1e-12
 
     def test_anticorrelated_relu(self):
-        s, sd = leaky_relu_duals(1, 1, -1, 0.0, 1.0)
+        s, sd = leaky_relu_duals(1, 1, -1, 0.0)
         assert abs(s) < 1e-12
         assert abs(sd) < 1e-12
 
     def test_degenerate_variance_branch(self):
-        s, sd = leaky_relu_duals(0.0, 5.0, 0.0, 0.05, 1.0)
+        s, sd = leaky_relu_duals(0.0, 5.0, 0.0, 0.05)
         assert s == 0.0
         assert abs(sd - (0.05 + 0.9025 / 4)) < 1e-12
 
     def test_covariance_validity_error(self):
         with pytest.raises(ValueError, match="covariance"):
-            leaky_relu_duals(1, 1, 1.1, 0.05, 1.0)
+            leaky_relu_duals(1, 1, 1.1, 0.05)
         with pytest.raises(ValueError):
-            leaky_relu_duals(-1, 1, 0, 0.05, 1.0)
+            leaky_relu_duals(-1, 1, 0, 0.05)
 
     def test_matches_monte_carlo_spot(self):
-        s, sd = leaky_relu_duals(1, 1, 0.5, 0.05, 1.0)
+        s, sd = leaky_relu_duals(1, 1, 0.5, 0.05)
         s_mc, sd_mc, se_s, se_sd = mc_dual_oracle(1, 1, 0.5, 0.05, 1.0,
                                                   1_000_000, seed=77)
         assert abs(s - s_mc) <= 3 * se_s
@@ -71,7 +71,7 @@ class TestLeakyReluDuals:
     def test_array_broadcast(self):
         lam = np.array([[1.0, 0.5], [0.5, 1.0]])
         d = np.diag(lam)
-        s, sd = leaky_relu_duals(d[:, None], d[None, :], lam, 0.05, 1.0)
+        s, sd = leaky_relu_duals(d[:, None], d[None, :], lam, 0.05)
         assert s.shape == (2, 2)
         assert abs(s[0, 0] - 0.50125) < 1e-12
 
@@ -279,7 +279,7 @@ class TestComputeCntk:
         for lam11, lam22 in ((1.0, 1.0), (4.0, 1.0), (0.25, 9.0)):
             for rho in (-1.0, -0.5, 0.0, 0.5, 1.0):
                 lam12 = rho * np.sqrt(lam11 * lam22)
-                s, sd = leaky_relu_duals(lam11, lam22, lam12, 0.05, 1.0)
+                s, sd = leaky_relu_duals(lam11, lam22, lam12, 0.05)
                 s_mc, sd_mc, se_s, se_sd = mc_dual_oracle(
                     lam11, lam22, lam12, 0.05, 1.0, 200_000, seed=int(10 * rho) + 50)
                 assert abs(s - s_mc) <= max(3 * se_s, 1e-9)
@@ -349,7 +349,7 @@ def test_leaky_relu_duals_match_reference_scalars():
              (2, 3, 2.449489742783178), (0, 5, 0), (1e-20, 1e-20, 1e-20), (1, 1, 1 + 5e-9)]
     for lam11, lam22, lam12 in cases:
         for a in (0.0, 0.05, 0.5, 1.0):
-            got = leaky_relu_duals(lam11, lam22, lam12, a, 1.0)
+            got = leaky_relu_duals(lam11, lam22, lam12, a)
             want = reference.leaky_relu_duals(lam11, lam22, lam12, a, 1.0)
             assert all(type(x) is float for x in got)
             assert abs(got[0] - want[0]) <= 1e-13 * max(np.sqrt(lam11 * lam22), 1e-300)
@@ -370,7 +370,7 @@ def test_leaky_relu_duals_match_reference_broadcast():
               (d, 2.0, 0.5 * np.sqrt(2.0 * d)),
               (np.full((3, 1), 4.0), np.array([1.0, 0.0, 9.0]), np.array([[1.0, 0.0, -5.0]]))]
     for lam11, lam22, lam12 in inputs:
-        got_s, got_sd = leaky_relu_duals(lam11, lam22, lam12, 0.05, 1.0)
+        got_s, got_sd = leaky_relu_duals(lam11, lam22, lam12, 0.05)
         want_s, want_sd = reference.leaky_relu_duals(lam11, lam22, lam12, 0.05, 1.0)
         assert got_s.shape == want_s.shape == got_sd.shape
         scale = np.sqrt(np.asarray(lam11) * np.asarray(lam22)).max()
@@ -378,7 +378,7 @@ def test_leaky_relu_duals_match_reference_broadcast():
         assert np.abs(got_sd - want_sd).max() <= 1e-13
     degenerate = np.zeros(cov.shape, bool)
     degenerate[[3, 17, 29]] = degenerate[:, [3, 17, 29]] = True
-    s, sd = leaky_relu_duals(d[:, None], d[None, :], cov, 0.05, 1.0)
+    s, sd = leaky_relu_duals(d[:, None], d[None, :], cov, 0.05)
     assert np.all(s[degenerate] == 0.0)
     assert np.abs(sd[degenerate] - (0.05 + 0.9025 / 4)).max() <= 1e-15
 
@@ -389,7 +389,7 @@ def test_leaky_relu_duals_leave_inputs_unchanged():
     cov = A @ A.T
     d = np.diag(cov).copy()
     before = (d.copy(), cov.copy())
-    leaky_relu_duals(d[:, None], d[None, :], cov, 0.05, 1.0)
+    leaky_relu_duals(d[:, None], d[None, :], cov, 0.05)
     assert np.array_equal(d, before[0]) and np.array_equal(cov, before[1])
 
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from channel_cntk import imputer
+from channel_cntk import evaluate, imputer
 from channel_cntk import (
     SparseChannelEstimate,
     make_method,
@@ -101,6 +101,25 @@ class TestRunSweep:
         joint = run_sweep(["nearest", "linear"], [15.0], ["dense"], 3, 9, **kw)
         lin_joint = [r for r in joint.rows if r.method == "linear"][0]
         assert solo.rows[0].nmse_db == lin_joint.nmse_db
+
+    def test_each_data_cell_simulated_once(self, monkeypatch):
+        # every method runs on one simulated slot per data cell, so the
+        # simulator's call counts do not grow with the number of methods
+        calls = {"generate_channel": 0, "transmit": 0}
+        for name in calls:
+            original = getattr(evaluate, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(evaluate, name, counting)
+        snrs, patterns, realizations = [0.0, 20.0], ["dense", "sparse"], 3
+        res = run_sweep(["cntk", "nearest", "knn", "linear"], snrs, patterns, realizations,
+                        seed=2, rows=24, cols=14, measure_time=False)
+        assert len(res.rows) == 4 * len(snrs) * len(patterns)
+        cells = len(snrs) * len(patterns) * realizations
+        assert calls == {"generate_channel": cells, "transmit": cells}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="realizations"):
