@@ -17,6 +17,7 @@ result = run_sweep(
     seed=99,
     rows=120,  # 10 resource blocks keeps the demo quick
     cols=14,
+    measure_time=False,  # the demo prints no timing, so its CSV is byte-reproducible
 )
 
 result.write_csv("demo04_sweep.csv")

@@ -7,10 +7,12 @@ import pytest
 
 from channel_cntk import (
     SparseChannelEstimate,
+    baselines,
     knn_interpolate,
     linear_interpolate,
     nearest_interpolate,
     preset_pattern,
+    run_sweep,
 )
 from channel_cntk.baselines import IDW_EPS
 
@@ -199,6 +201,8 @@ class TestKnn:
         # cells x pilots table (about 29 MB of int64 on this slot)
         pat = preset_pattern("dense", 360, 14)
         sp = SparseChannelEstimate(np.where(pat.mask, 1 - 1j, 0), pat.mask)
+        # bound the search itself, not a lookup of a plan cached earlier
+        baselines._knn_plan.cache_clear()
         tracemalloc.start()
         try:
             knn_interpolate(sp, 4)
@@ -214,6 +218,53 @@ class TestKnn:
             knn_interpolate(sp, 0)
         with pytest.raises(ValueError, match="k must"):
             knn_interpolate(sp, sp.n_pilots + 1)
+
+
+class TestKnnPlanCache:
+    def test_fresh_values_on_cached_plans(self):
+        # each call gathers its own pilot values through the cached plan,
+        # including a warm hit on a mask after another mask was searched
+        rng = np.random.default_rng(8)
+        dense, sparse = (preset_pattern(p, 24, 14).mask for p in ("dense", "sparse"))
+        baselines._knn_plan.cache_clear()
+        for mask in (dense, dense, dense, sparse, dense, sparse, dense):
+            vals = np.where(mask, rng.standard_normal(mask.shape)
+                            + 1j * rng.standard_normal(mask.shape), 0)
+            sp = SparseChannelEstimate(vals, mask)
+            for k in (1, 4):
+                assert knn_interpolate(sp, k).tobytes() == _full_table_knn(sp, k).tobytes()
+        info = baselines._knn_plan.cache_info()
+        assert (info.misses, info.hits) == (4, 10)
+
+    def test_plan_key_holds_shape_and_k(self):
+        # one 12-byte mask read as three shapes, at k = 1 and k = 4, is six plans
+        flat = np.zeros(12, bool)
+        flat[[0, 3, 5, 6, 10]] = True
+        rng = np.random.default_rng(9)
+        baselines._knn_plan.cache_clear()
+        for shape in ((2, 6), (3, 4), (4, 3)):
+            mask = flat.reshape(shape)
+            sp = SparseChannelEstimate(np.where(mask, rng.standard_normal(shape) + 0j, 0), mask)
+            for k in (1, 4):
+                assert knn_interpolate(sp, k).tobytes() == _full_table_knn(sp, k).tobytes()
+        assert baselines._knn_plan.cache_info().misses == 6
+
+    def test_plan_is_read_only(self):
+        mask = preset_pattern("sparse", 12, 14).mask
+        src, w = baselines._knn_plan(mask.shape, mask.tobytes(), 4)
+        assert not src.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+
+    def test_sweep_searches_once_per_mask_and_k(self):
+        # nearest and knn on two presets: four (mask, k) plans, however many
+        # SNRs and realizations reuse them
+        baselines._knn_plan.cache_clear()
+        run_sweep(["nearest", "knn"], [0.0, 10.0, 20.0, 30.0], ["dense", "sparse"], 2, 5,
+                  rows=24, cols=14, measure_time=False)
+        info = baselines._knn_plan.cache_info()
+        assert info.misses == 4
+        assert info.hits == 2 * 4 * 2 * 2 - 4
 
 
 def _loop_linear(sp):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from channel_cntk import evaluate, imputer
+from channel_cntk import baselines, evaluate, imputer
 from channel_cntk import (
     SparseChannelEstimate,
     make_method,
@@ -79,12 +79,14 @@ class TestRunSweep:
         assert a.to_csv() == b.to_csv()
 
     def test_thread_count_invariance(self):
-        # cntk's threads share the process-wide kernel cache: start them on an
-        # empty one and switch threads often, so they race to fill it
+        # the threads share the process-wide smoother and KNN plan caches:
+        # start them on empty ones and switch threads often, so they race to
+        # fill them
         kw = dict(rows=24, cols=14, measure_time=False)
         methods = ["nearest", "knn", "cntk"]
         a = run_sweep(methods, [0.0, 20.0], ["dense", "sparse"], 2, 3, n_threads=1, **kw)
         imputer._mask_smoother.cache_clear()
+        baselines._knn_plan.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
