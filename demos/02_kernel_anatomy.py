@@ -13,7 +13,7 @@ from channel_cntk import (
     NoiseSpec,
     compute_cntk,
     default_profile,
-    estimation_kernel,
+    estimation_smoother,
     generate_channel,
     ls_estimate,
     make_qpsk_grid,
@@ -45,7 +45,7 @@ print(f"symmetry defect: {np.abs(kernel.gram - kernel.gram.T).max():.2e}\n")
 
 # correlation against displacement from a center pixel, on the estimator's
 # kernel: the same recursion, normalized to unit diagonal
-norm = estimation_kernel(sparse, 0).gram
+norm = estimation_smoother(sparse, 0).kernel.gram
 center = (M // 2) * N + N // 2
 corr_row = [norm[center, (M // 2 + d) * N + N // 2] for d in range(0, 5)]
 corr_col = [norm[center, (M // 2) * N + N // 2 + d] for d in range(0, 5)]

@@ -48,7 +48,7 @@ from .imputer import (
     SpectralSmoother,
     auto_ridge,
     estimate_channel_cntk,
-    estimation_kernel,
+    estimation_smoother,
     kernel_regress,
     spectral_smoother,
 )
@@ -76,7 +76,7 @@ __all__ = [
     "default_profile",
     "derive_seed",
     "estimate_channel_cntk",
-    "estimation_kernel",
+    "estimation_smoother",
     "generate_channel",
     "kernel_regress",
     "knn_interpolate",

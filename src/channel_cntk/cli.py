@@ -33,7 +33,7 @@ from .grid import (
     make_pilot_pattern,
     preset_pattern,
 )
-from .imputer import auto_ridge, default_ridge, estimate_channel_cntk, estimation_smoother
+from .imputer import DEFAULT_RIDGE_REL, auto_ridge, estimate_channel_cntk, estimation_smoother
 
 
 class CliError(Exception):
@@ -55,16 +55,18 @@ def _load_config(path) -> dict:
     return cfg
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", list: "a list", bool: "true or false"}
+_KIND_NAMES = {int: "an integer", float: "a number", list: "a list", bool: "true or false",
+               str: "a string"}
+_EXACT_TYPES = {list: (list, tuple), str: str}
 
 
 def _checked(value, kind, field: str):
     """`kind(value)` for a config value, else a CliError naming `field`: true/false
-    fits only bool, a fraction never int, and a string never list (only a list or
-    tuple does); float() also reads "inf" and numeric strings."""
+    fits only bool, a fraction never int, list only a list or tuple and str only
+    a string; float() also reads "inf" and numeric strings."""
     try:
         if isinstance(value, bool) != (kind is bool) or (
-                kind is list and not isinstance(value, (list, tuple))):
+                kind in _EXACT_TYPES and not isinstance(value, _EXACT_TYPES[kind])):
             raise TypeError
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
@@ -83,6 +85,23 @@ def _taps(value) -> list[tuple[float, float]]:
     return [(_checked(d, float, "taps"), _checked(p, float, "taps")) for d, p in pairs]
 
 
+def _check_fields(block: dict, known, where: str, required=()) -> None:
+    """Raise a CliError naming the keys of a config object outside `known`, or
+    the first `required` key it lacks; `where` names the object in the message."""
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise CliError(f"unknown {where} field(s) {', '.join(map(repr, unknown))}; "
+                       f"valid fields: {', '.join(sorted(known))}")
+    for name in required:
+        if name not in block:
+            raise CliError(f"missing required {where} field {name!r}")
+
+
+_GRID_FIELDS = ("rows", "cols", "subcarrier_spacing_hz", "symbol_duration_s", "taps",
+                "doppler_hz")
+_PATTERN_FIELDS = ("sc_spacing", "sym_spacing", "sc_offset", "sym_offset")
+
+
 def _grid_and_channel(cfg: dict) -> tuple:
     """(rows, cols, subcarrier spacing, symbol duration, taps, doppler) of a config."""
     return (_checked(cfg.get("rows", 360), int, "rows"),
@@ -93,6 +112,14 @@ def _grid_and_channel(cfg: dict) -> tuple:
                      float, "symbol_duration_s"),
             _taps(cfg.get("taps", DEFAULT_TAPS)),
             _checked(cfg.get("doppler_hz", DEFAULT_DOPPLER_HZ), float, "doppler_hz"))
+
+
+def _config_out(args, cfg: dict) -> Path:
+    """The output path, resolved: --out, else the config's `out`, which must be a string."""
+    configured = _checked(cfg.get("out", ""), str, "out")
+    if not (args.out or configured):
+        raise CliError("missing output path: give --out or config field 'out'")
+    return _resolve_out(args.out or configured)
 
 
 def _resolve_out(path: str) -> Path:
@@ -120,17 +147,13 @@ def _pattern_from_config(spec, rows: int, cols: int) -> tuple[PilotPattern, dict
         pattern = preset_pattern(spec, rows, cols)
         desc = {"preset": spec}
     elif isinstance(spec, dict):
-        for name in ("sc_spacing", "sym_spacing"):
-            if name not in spec:
-                raise CliError(f"pattern object is missing required field {name!r}")
+        _check_fields(spec, _PATTERN_FIELDS, "pattern", required=_PATTERN_FIELDS[:2])
         pattern = make_pilot_pattern(rows, cols, *(
-            _checked(spec.get(name, 0), int, f"pattern.{name}")
-            for name in ("sc_spacing", "sym_spacing", "sc_offset", "sym_offset")))
+            _checked(spec.get(name, 0), int, f"pattern.{name}") for name in _PATTERN_FIELDS))
         desc = {}
     else:
         raise CliError(f"pattern must be a preset name or spacing object, got {spec!r}")
-    desc.update(sc_spacing=pattern.sc_spacing, sym_spacing=pattern.sym_spacing,
-                sc_offset=pattern.sc_offset, sym_offset=pattern.sym_offset)
+    desc.update({name: getattr(pattern, name) for name in _PATTERN_FIELDS})
     return pattern, desc
 
 
@@ -144,8 +167,8 @@ def _cntk_cfg_from(values: dict) -> CntkConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    if "seed" not in cfg:
-        raise CliError("missing required config field: seed")
+    _check_fields(cfg, ("seed", "realizations", "snr_db", "pattern", "out") + _GRID_FIELDS,
+                  "config", required=["seed"])
     seed = _checked(cfg["seed"], int, "seed")
     realizations = _checked(cfg.get("realizations", 1), int, "realizations")
     if realizations < 1:
@@ -153,9 +176,7 @@ def cmd_simulate(args) -> int:
     snr_db = _checked(cfg.get("snr_db", 20.0), float, "snr_db")
     rows, cols, scs, tsym, taps, doppler = _grid_and_channel(cfg)
     pattern, pattern_desc = _pattern_from_config(cfg.get("pattern", "dense"), rows, cols)
-    out = args.out or cfg.get("out")
-    if not out:
-        raise CliError("missing output path: give --out or config field 'out'")
+    out_path = _config_out(args, cfg)
 
     records = []
     for r in range(realizations):
@@ -171,7 +192,6 @@ def cmd_simulate(args) -> int:
         "taps": [[d, p] for d, p in TdlProfile(taps, doppler, 0).taps],
         "doppler_hz": doppler, "pattern": pattern_desc,
     }
-    out_path = _resolve_out(out)
     container.save_dataset(out_path, manifest, records)
     print(f"wrote {out_path}: {realizations} realization(s), {rows}x{cols} grids, "
           f"snr {snr_db} dB, pattern {pattern_desc}, "
@@ -197,8 +217,8 @@ def cmd_estimate(args) -> int:
         raise CliError(f"unknown method {args.method!r}; "
                        f"valid methods: {', '.join(METHOD_TAGS)}")
     cntk_cfg = _cntk_cfg_from(vars(args))
-    ridge = args.ridge
-    if ridge is None and args.method == "cntk":
+    ridge = args.lam
+    if args.lam is None and args.method == "cntk":
         # noise-matched default against the dataset's recorded SNR
         ridge = auto_ridge(_checked(manifest.get("snr_db", math.inf), float, "snr_db"))
         print(f"ridge: auto (snr {manifest.get('snr_db')} dB -> {ridge:g})")
@@ -247,8 +267,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    if "seed" not in cfg:
-        raise CliError("missing required config field: seed")
+    _check_fields(cfg, ("seed", "realizations", "methods", "snr_dbs", "patterns", "knn_k",
+                        "cntk", "measure_time", "out") + _GRID_FIELDS,
+                  "config", required=["seed"])
     methods = (args.methods.split(",") if args.methods
                else _checked(cfg.get("methods", ["cntk"]), list, "methods"))
     for m in methods:
@@ -268,31 +289,25 @@ def cmd_sweep(args) -> int:
     cntk_block = cfg.get("cntk", {})
     if not isinstance(cntk_block, dict):
         raise CliError(f"config field 'cntk' must be a JSON object, got {cntk_block!r}")
-    known = {field.name for field in dataclasses.fields(CntkConfig)} | {"ridge"}
-    unknown = sorted(set(cntk_block) - known)
-    if unknown:
-        raise CliError(f"unknown cntk field(s) {', '.join(map(repr, unknown))}; "
-                       f"valid fields: {', '.join(sorted(known))}")
+    _check_fields(cntk_block, [field.name for field in dataclasses.fields(CntkConfig)]
+                  + ["ridge"], "cntk")
     ridge = cntk_block.get("ridge", "auto")
     patterns = [_pattern_from_config(p, rows, cols)[0] for p in pattern_specs]
     threads = _thread_cap(args.threads)
+    out_path = _config_out(args, cfg)
+    series_path = _resolve_out(args.plot_series) if args.plot_series else None
     result = run_sweep(
         methods, snrs, patterns, realizations, seed,
         rows=rows, cols=cols, subcarrier_spacing_hz=scs, symbol_duration_s=tsym,
         taps=taps, doppler_hz=doppler,
         cntk_cfg=_cntk_cfg_from(cntk_block),
-        cntk_ridge="auto" if ridge in (None, "auto") else _checked(ridge, float, "cntk.ridge"),
+        cntk_ridge="auto" if ridge == "auto" else _checked(ridge, float, "cntk.ridge"),
         knn_k=_checked(cfg.get("knn_k", 4), int, "knn_k"),
         measure_time=measure_time, n_threads=threads)
-    out = args.out or cfg.get("out")
-    if not out:
-        raise CliError("missing output path: give --out or config field 'out'")
-    out_path = _resolve_out(out)
     result.write_csv(out_path)
     print(f"wrote {out_path}: {len(result.rows)} rows "
           f"({len(methods)} methods x {len(snrs)} SNRs x {len(patterns)} patterns)")
-    if args.plot_series:
-        series_path = _resolve_out(args.plot_series)
+    if series_path:
         series_path.write_text(result.plot_series(), encoding="utf-8")
         print(f"wrote {series_path}")
     return 0
@@ -310,7 +325,7 @@ def cmd_kernel_dump(args) -> int:
     np.savetxt(out_path, kernel.gram, fmt="%.17g", delimiter=",")
     P = kernel.gram.shape[0]
     print(f"wrote {out_path}: {P}x{P} gram matrix (block {args.block})")
-    lam, cond = smoother.regularize(default_ridge(kernel, smoother.obs))
+    lam, cond = smoother.regularize(DEFAULT_RIDGE_REL)
     print(f"K_oo over {smoother.obs.size} pilots: min eigenvalue {float(smoother.e[0])!r}, "
           f"condition {cond!r} at the default ridge {lam!r}")
     if args.check_symmetric:
@@ -350,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--method", required=True,
                        help="one of: " + ", ".join(METHOD_TAGS))
     p_est.add_argument("--out", required=True, help="estimates output path")
-    p_est.add_argument("--lambda", dest="ridge", type=float, default=None,
+    p_est.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="ridge; 0 = strict interpolation "
                             "(default: noise-matched to the dataset SNR)")
     p_est.add_argument("--knn-k", type=int, default=4)
@@ -393,10 +408,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,7 +39,7 @@ from .grid import (
     ls_estimate,
     preset_pattern,
 )
-from .imputer import auto_ridge, estimate_channel_cntk
+from .imputer import DEFAULT_RIDGE_REL, auto_ridge, estimate_channel_cntk
 from .baselines import knn_interpolate, linear_interpolate, nearest_interpolate
 
 METHOD_TAGS = ("cntk", "nearest", "knn", "linear")
@@ -73,9 +73,10 @@ def nmse_db(h_true: np.ndarray, h_hat: np.ndarray) -> float:
 
 
 def make_method(tag: str, *, cntk_cfg: CntkConfig = CntkConfig(),
-                cntk_ridge: float | None = None,
+                cntk_ridge: float = DEFAULT_RIDGE_REL,
                 knn_k: int = 4) -> Callable[[SparseChannelEstimate], np.ndarray]:
-    """Resolve a method tag to an estimator sparse -> full complex matrix."""
+    """Resolve a method tag to an estimator sparse -> full complex matrix; `cntk`
+    solves at the number `cntk_ridge`, by default the jitter DEFAULT_RIDGE_REL."""
     if tag == "cntk":
         return lambda sp: estimate_channel_cntk(sp, cntk_cfg, cntk_ridge).h_hat
     if tag == "nearest":
@@ -156,15 +157,15 @@ def run_sweep(methods: Sequence[str], snr_list: Sequence[float],
               symbol_duration_s: float = DEFAULT_SYMBOL_DURATION_S,
               taps=DEFAULT_TAPS, doppler_hz: float = DEFAULT_DOPPLER_HZ,
               cntk_cfg: CntkConfig = CntkConfig(),
-              cntk_ridge: float | str | None = "auto", knn_k: int = 4,
+              cntk_ridge: float | str = "auto", knn_k: int = 4,
               measure_time: bool = True, n_threads: int = 1) -> SweepResult:
     """Run every (method, snr, pattern) cell over shared channel realizations.
 
     Realization r of an (snr, pattern) cell is simulated once, from data
     seed derive_seed(seed, snr index, pattern index, r), and every method
     estimates that slot, so a method's row does not depend on the others.
-    cntk_ridge "auto" (or None) matches the ridge to the cell's operating
-    SNR (see imputer.auto_ridge); a number pins it across all cells. With
+    cntk_ridge "auto" matches the ridge to the cell's operating SNR (see
+    imputer.auto_ridge); a number pins it across all cells. With
     measure_time=False the timing column is pinned to 0.0 and the CSV is
     byte-reproducible across runs.
     """
@@ -180,7 +181,7 @@ def run_sweep(methods: Sequence[str], snr_list: Sequence[float],
 
     def run_cell(cell):
         (si, snr), (pi, pattern) = cell
-        ridge = auto_ridge(snr) if cntk_ridge == "auto" or cntk_ridge is None else cntk_ridge
+        ridge = auto_ridge(snr) if cntk_ridge == "auto" else cntk_ridge
         fns = [make_method(m, cntk_cfg=cntk_cfg, cntk_ridge=ridge, knn_k=knn_k)
                for m in methods]
         ratio_sums = [0.0] * len(fns)

@@ -7,7 +7,7 @@ of the output. `_band_masks` is the one place a slot is cut into bands.
 
 A band's kernel is the normalized CNTK over the weighted estimation prior,
 which holds the band's pilot mask and coordinates but no pilot values;
-`estimation_kernel(sparse, band)` returns it for one band. For a fixed mask
+`estimation_smoother(sparse, band).kernel` returns it. For a fixed mask
 and ridge the estimator is therefore a linear map from pilots to grid, the
 smoother W = K_ao (K_oo + ridge*I)^-1, so the unit of work is a distinct
 band mask: its bands share one kernel, one `SpectralSmoother` (the
@@ -16,8 +16,9 @@ eigendecomposition K_oo = U diag(e) U^T and B = K_ao U) and one
 smoother is cached per process, keyed on the band mask, `CntkConfig` and
 `PriorWeights`, in a bounded cache of KERNEL_CACHE_SIZE entries, so a
 receiver with a fixed pilot layout builds its kernel and eigendecomposes
-K_oo once; each call only chooses the ridge, filters the eigenvalues by
-1/(e + ridge) and applies B diag(1/(e + ridge)) U^T to the pilots.
+K_oo once; each call only filters the eigenvalues by 1/(e + ridge), for the
+number the caller gives (the jitter DEFAULT_RIDGE_REL by default, or
+`auto_ridge(snr_db)`), and applies B diag(1/(e + ridge)) U^T to the pilots.
 `kernel_s` and `solve_s` in the diagnostics are a group's time to get its
 smoother (build or cache hit) and to apply it.
 A singular or slightly indefinite K_oo needs no retry: when its smallest
@@ -32,7 +33,6 @@ ridge deliberately smooths observed cells too.
 from __future__ import annotations
 
 import functools
-import math
 import time
 from dataclasses import dataclass
 
@@ -48,7 +48,7 @@ from .cntk import (
 )
 from .grid import SUBCARRIERS_PER_RB, SparseChannelEstimate, _locked
 
-#: Default ridge: relative jitter against the observed-block Gram trace.
+#: Default ridge: a jitter relative to the unit diagonal of the normalized kernel.
 DEFAULT_RIDGE_REL = 1e-8
 
 #: Eigenvalue floor of the regularized observed-block Gram matrix, relative
@@ -154,8 +154,8 @@ def kernel_regress(smoother: SpectralSmoother, values: np.ndarray,
         raise ValueError(f"values must be (n,) or (n, B) with n = {n} observed pixels")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite (no NaN/Inf)")
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
+    if not ridge >= 0:  # also rejects NaN
+        raise ValueError("ridge must be a non-negative number")
     lam, cond = smoother.regularize(ridge)
     cols = vals.reshape(n, -1).T
     # One (n, 2) [re, im] block per column: stacked matmul makes one
@@ -177,15 +177,7 @@ def auto_ridge(snr_db: float) -> float:
     tracks the inverse linear SNR. Noiseless (infinite SNR) degrades to the
     jitter floor.
     """
-    if math.isinf(snr_db) and snr_db > 0:
-        return DEFAULT_RIDGE_REL
     return max(10.0 ** (-snr_db / 10.0), DEFAULT_RIDGE_REL)
-
-
-def default_ridge(kernel: CoordinateKernel, obs_idx: np.ndarray) -> float:
-    """Relative jitter: DEFAULT_RIDGE_REL * trace(K_oo) / |obs|."""
-    k_oo_diag = np.diag(kernel.gram)[obs_idx]
-    return DEFAULT_RIDGE_REL * float(k_oo_diag.sum()) / obs_idx.size
 
 
 def _band_masks(sparse: SparseChannelEstimate) -> np.ndarray:
@@ -227,7 +219,8 @@ def estimation_smoother(sparse: SparseChannelEstimate, band: int,
     Bands are the slot's 12-row resource blocks, numbered from 0. The
     smoother comes from the estimator's per-process cache, keyed on the band
     mask, `cfg` and `weights`, holding at most KERNEL_CACHE_SIZE smoothers
-    (read-only, so callers share them).
+    (read-only, so callers share them). Its `kernel` is the unit-diagonal
+    kernel of the band.
     """
     masks = _band_masks(sparse)
     if not 0 <= band < len(masks):
@@ -235,22 +228,14 @@ def estimation_smoother(sparse: SparseChannelEstimate, band: int,
     return _mask_smoother(masks.shape[1:], masks[band].tobytes(), cfg, weights)
 
 
-def estimation_kernel(sparse: SparseChannelEstimate, band: int,
-                      cfg: CntkConfig = CntkConfig(),
-                      weights: PriorWeights = PriorWeights()) -> CoordinateKernel:
-    """The unit-diagonal kernel `estimate_channel_cntk` solves band `band` of `sparse` with:
-    the kernel of `estimation_smoother(sparse, band, cfg, weights)`."""
-    return estimation_smoother(sparse, band, cfg, weights).kernel
-
-
 def estimate_channel_cntk(sparse: SparseChannelEstimate,
                           cfg: CntkConfig = CntkConfig(),
-                          ridge: float | None = None,
+                          ridge: float = DEFAULT_RIDGE_REL,
                           weights: PriorWeights = PriorWeights()) -> ImputedChannel:
     """Impute the full channel from a sparse pilot estimate, one band mask at a time.
 
-    ridge semantics (against the unit-diagonal normalized kernel):
-      None  -> relative jitter default (near-interpolating),
+    ridge (against the unit-diagonal normalized kernel) is a non-negative number:
+      DEFAULT_RIDGE_REL (the default) -> near-interpolating jitter,
       0.0   -> strict interpolation; observed cells keep observed values,
       > 0   -> ridge smoothing of all cells; see `auto_ridge` for the
                noise-matched choice when the operating SNR is known.
@@ -268,11 +253,10 @@ def estimate_channel_cntk(sparse: SparseChannelEstimate,
         smoother = _mask_smoother(masks.shape[1:], key, cfg, weights)
         kernel_s = time.perf_counter() - t0
         obs_idx = smoother.obs
-        lam = default_ridge(smoother.kernel, obs_idx) if ridge is None else ridge
         vals = values[np.ix_(members, obs_idx)]  # C order: each band mean sums as alone
         mean = vals.mean(axis=1, keepdims=True)
         t0 = time.perf_counter()
-        flat, lam_used, cond = kernel_regress(smoother, (vals - mean).T, lam)
+        flat, lam_used, cond = kernel_regress(smoother, (vals - mean).T, ridge)
         solve_s = time.perf_counter() - t0
         out[members] = flat.T + mean
         if ridge == 0:

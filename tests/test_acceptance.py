@@ -21,7 +21,7 @@ from channel_cntk import (
     compute_cntk,
     default_profile,
     estimate_channel_cntk,
-    estimation_kernel,
+    estimation_smoother,
     generate_channel,
     kernel_regress,
     knn_interpolate,
@@ -128,7 +128,7 @@ def test_criterion_4_interpolation_exactness():
     assert resid <= 1e-6 * np.abs(vals[pat.mask]).max()
     # the regression itself (before the observed-cell passthrough) also
     # reproduces the observations on the estimator's own kernel
-    kernel = estimation_kernel(sp, 0)
+    kernel = estimation_smoother(sp, 0).kernel
     obs = np.flatnonzero(pat.mask.reshape(-1))
     y = vals.reshape(-1)[obs]
     reg_out, _, _ = kernel_regress(spectral_smoother(kernel, obs), y, 0.0)
@@ -245,7 +245,7 @@ def test_criterion_9_performance_budget():
     # the warm call finds its smoother cached, so solve_s no longer holds
     # the eigendecomposition; bound that cold step on its own
     band = SparseChannelEstimate(sp.values[:12], sp.mask[:12])
-    kernel = estimation_kernel(band, 0)
+    kernel = estimation_smoother(band, 0).kernel
     obs = np.flatnonzero(band.mask)
     t0 = time.perf_counter()
     spectral_smoother(kernel, obs)

@@ -88,7 +88,12 @@ class TestSimulate:
         ({"rows": 24.5}, "rows"),
         ({"realizations": True}, "realizations"),
         ({"snr_db": True}, "snr_db"),
-    ], ids=["sc_spacing", "rows", "rows_fraction", "realizations_bool", "snr_db_bool"])
+        # an unknown key is an error, not a silent default ("snr" ran at 20 dB)
+        ({"snr": 0}, "'snr'"),
+        ({"pattern": {"sc_spacing": 4, "sym_spacing": 2, "sc_ofset": 1}}, "sc_ofset"),
+        ({"out": 5}, "out"),
+    ], ids=["sc_spacing", "rows", "rows_fraction", "realizations_bool", "snr_db_bool",
+            "unknown_key", "pattern_unknown_key", "out_number"])
     def test_wrong_json_type_names_field(self, tmp_path, capsys, extra, field):
         cfg = _sim_config(tmp_path, **extra)
         assert cli.main(["simulate", "--config", cfg,
@@ -167,6 +172,14 @@ class TestEstimate:
         resid_line = [ln for ln in out.splitlines() if "pilot residual" in ln][0]
         assert float(resid_line.split(":")[1]) < 1e-6
 
+    def test_nan_lambda_rejected(self, dataset, tmp_path, capsys):
+        est = tmp_path / "est.bin"
+        assert cli.main(["estimate", "--dataset", str(dataset), "--method", "cntk",
+                         "--lambda", "nan", "--out", str(est)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ridge must be a non-negative number" in err
+        assert not est.exists()
+
     def test_baseline_methods(self, dataset, tmp_path, capsys):
         for method in ("nearest", "knn", "linear"):
             code = cli.main(["estimate", "--dataset", str(dataset),
@@ -226,6 +239,12 @@ class TestSweep:
                              ({"cntk": {"filter_size": True}}, "filter_size"),
                              ({"realizations": True}, "realizations"),
                              ({"measure_time": "false"}, "measure_time"),
+                             ({"out": 5}, "out"),
+                             # unknown keys ("snr_db" ran the 4 default SNRs)
+                             ({"snr_db": [5.0]}, "'snr_db'"),
+                             ({"patterns": [{"sc_spacing": 4, "sym_spacing": 2,
+                                             "sc_ofset": 1}]}, "sc_ofset"),
+                             ({"cntk": {"ridge": None}}, "ridge"),
                              # a string or number where a list belongs
                              ({"snr_dbs": "10"}, "snr_dbs"),
                              ({"patterns": "dense"}, "patterns"),
@@ -241,6 +260,16 @@ class TestSweep:
                              "--out", str(tmp_path / "x.csv")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and field in err
+
+    def test_output_path_checked_before_running(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_sweep ran before the output path was checked")
+        monkeypatch.setattr(cli, "run_sweep", never)
+        for extra, argv in (({}, []), ({"out": 5}, ["--out", str(tmp_path / "x.csv")])):
+            cfg = self._cfg(tmp_path, **extra)
+            assert cli.main(["sweep", "--config", cfg] + argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "out" in err
 
     def test_flag_overrides(self, tmp_path):
         cfg = self._cfg(tmp_path)
@@ -304,11 +333,11 @@ class TestKernelDump:
         out = tmp_path / "k.csv"
         assert cli.main(["kernel-dump", "--dataset", str(dataset),
                          "--block", "1", "--out", str(out)]) == 0
-        from channel_cntk import estimation_kernel
+        from channel_cntk import estimation_smoother
         from channel_cntk.cli import _sparse_from_record
         manifest, records = load_dataset(dataset)
         sparse = _sparse_from_record(records[0], manifest)
-        expect = estimation_kernel(sparse, 1).gram
+        expect = estimation_smoother(sparse, 1).kernel.gram
         got = np.loadtxt(out, delimiter=",")
         assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
 
@@ -329,7 +358,7 @@ class TestKernelDump:
         obs = np.flatnonzero(sparse.mask[12:24])
         gram = np.loadtxt(out, delimiter=",")
         k_oo = gram[np.ix_(obs, obs)]
-        lam = imputer.DEFAULT_RIDGE_REL * np.trace(k_oo) / obs.size
+        lam = imputer.DEFAULT_RIDGE_REL
         e_min = np.linalg.eigvalsh(k_oo)[0]
         cond = np.linalg.cond(k_oo + lam * np.eye(obs.size))
         n, got_e, got_cond, got_lam = match.groups()

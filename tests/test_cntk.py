@@ -417,7 +417,7 @@ def _reference_kernel(prior, cfg=CntkConfig()):
     return CoordinateKernel(reference.compute_cntk(prior, cfg), prior.dims)
 
 
-@pytest.mark.parametrize("ridge", [None, 0.0, 1e-3, 1e-1])
+@pytest.mark.parametrize("ridge", [imputer.DEFAULT_RIDGE_REL, 0.0, 1e-3, 1e-1])
 def test_estimates_match_reference_recursion(monkeypatch, ridge):
     rng = np.random.default_rng(33)
     slots = [SparseChannelEstimate(np.where(mask, rng.standard_normal(mask.shape)

@@ -16,7 +16,7 @@ from channel_cntk import (
     SparseChannelEstimate,
     auto_ridge,
     estimate_channel_cntk,
-    estimation_kernel,
+    estimation_smoother,
     kernel_regress,
     preset_pattern,
     spectral_smoother,
@@ -166,8 +166,9 @@ class TestKernelRegress:
         with pytest.raises(ValueError):
             spectral_smoother(K, np.array([], dtype=np.int64))
         sm = spectral_smoother(K, np.array([0, 1]))
-        with pytest.raises(ValueError):
-            kernel_regress(sm, np.array([1j, 2j]), -1.0)
+        for ridge in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="ridge must be a non-negative number"):
+                kernel_regress(sm, np.array([1j, 2j]), ridge)
         with pytest.raises(ValueError, match="finite"):
             kernel_regress(sm, np.array([np.nan, 2j]), 0.0)
         with pytest.raises(ValueError):
@@ -217,9 +218,17 @@ class TestEstimateChannel:
         vals = np.where(pat.mask, rng.standard_normal((12, 14))
                         + 1j * rng.standard_normal((12, 14)), 0)
         sp = SparseChannelEstimate(vals, pat.mask)
-        imp = estimate_channel_cntk(sp)  # ridge=None -> relative jitter
+        imp = estimate_channel_cntk(sp)  # ridge=DEFAULT_RIDGE_REL, the jitter
         resid = np.abs(imp.h_hat[pat.mask] - vals[pat.mask]).max()
         assert resid <= 1e-4 * np.abs(vals[pat.mask]).max()
+
+    def test_nan_ridge_rejected(self):
+        # NaN fails every comparison, so it once passed `ridge < 0` and gave
+        # all-NaN estimates
+        pat = preset_pattern("dense", 24, 14)
+        sp = SparseChannelEstimate(np.where(pat.mask, 1 + 0j, 0), pat.mask)
+        with pytest.raises(ValueError, match="ridge must be a non-negative number"):
+            estimate_channel_cntk(sp, ridge=float("nan"))
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
@@ -286,7 +295,7 @@ class TestEstimationKernel:
         sp = SparseChannelEstimate(np.where(pat.mask, 1 + 0j, 0), pat.mask)
         for band in (2, -1):
             with pytest.raises(ValueError, match="out of range"):
-                estimation_kernel(sp, band)
+                estimation_smoother(sp, band).kernel
 
     def test_band_of_slot_equals_band_alone(self):
         # cutting the slot into bands changes nothing: a band's kernel is the
@@ -296,9 +305,9 @@ class TestEstimationKernel:
         sp = SparseChannelEstimate(_random_pilots(rng, mask), mask)
         for b, band in enumerate(_bands(sp)):
             imputer._mask_smoother.cache_clear()
-            in_slot = estimation_kernel(sp, b).gram
+            in_slot = estimation_smoother(sp, b).kernel.gram
             imputer._mask_smoother.cache_clear()
-            assert np.array_equal(in_slot, estimation_kernel(band, 0).gram)
+            assert np.array_equal(in_slot, estimation_smoother(band, 0).kernel.gram)
 
 
 def test_estimator_is_additive_in_pilots():
@@ -307,14 +316,14 @@ def test_estimator_is_additive_in_pilots():
     rng = np.random.default_rng(13)
     pat = preset_pattern("dense", 24, 14)
     y1, y2 = _random_pilots(rng, pat.mask), _random_pilots(rng, pat.mask)
-    for ridge in (None, 1e-2):
+    for ridge in (imputer.DEFAULT_RIDGE_REL, 1e-2):
         est1, est2, est12 = (estimate_channel_cntk(SparseChannelEstimate(y, pat.mask),
                                                    ridge=ridge).h_hat
                              for y in (y1, y2, y1 + y2))
         assert np.abs(est12 - (est1 + est2)).max() <= 1e-10 * np.abs(est12).max()
 
 
-@pytest.mark.parametrize("ridge", [None, 0.0, 1e-2])
+@pytest.mark.parametrize("ridge", [imputer.DEFAULT_RIDGE_REL, 0.0, 1e-2])
 @pytest.mark.parametrize("mask", [preset_pattern("dense", 24, 14).mask, _alternating_mask(24)],
                          ids=["dense", "alternating"])
 def test_estimator_is_homogeneous_and_shift_equivariant(mask, ridge):
@@ -369,7 +378,7 @@ def test_ridge_change_reuses_eigenpairs(monkeypatch):
     mask = _alternating_mask(360)
     sparse = SparseChannelEstimate(_random_pilots(rng, mask), mask)
     assert _count_calls(monkeypatch, sparse) == (2, 2, 2)
-    for ridge in (None, 0.0, auto_ridge(30.0)):
+    for ridge in (imputer.DEFAULT_RIDGE_REL, 0.0, auto_ridge(30.0)):
         assert _count_calls(monkeypatch, sparse, clear=False, ridge=ridge) == (0, 0, 2)
     assert _count_calls(monkeypatch, sparse, clear=False, cfg=CntkConfig(depth=4)) == (2, 2, 2)
 
@@ -398,16 +407,14 @@ def _fresh_eigh_estimate(sparse, ridge):
     ridges, conds = [], []
     for band in range(sparse.shape[0] // 12):
         rows = slice(12 * band, 12 * band + 12)
-        gram = estimation_kernel(sparse, band).gram
+        gram = estimation_smoother(sparse, band).kernel.gram
         obs = np.flatnonzero(sparse.mask[rows])
         y = sparse.values[rows].reshape(-1)[obs]
         k_oo = gram[np.ix_(obs, obs)]
         e, U = np.linalg.eigh(k_oo)
         trace = float(np.trace(k_oo))
         floor = max(imputer.EIG_FLOOR_REL * trace / obs.size, np.finfo(np.float64).tiny)
-        requested = (imputer.default_ridge(CoordinateKernel(gram, (12, 14)), obs)
-                     if ridge is None else ridge)
-        lam = float(max(requested, floor - e[0]))
+        lam = float(max(ridge, floor - e[0]))
         est = gram[:, obs] @ ((U / (e + lam)) @ U.T) @ (y - y.mean()) + y.mean()
         if ridge == 0:
             est[obs] = y
@@ -425,7 +432,7 @@ def test_cached_smoother_matches_fresh_eigh():
     masks += [_erased_mask(rng, 12) for _ in range(20)]
     for mask in masks:
         sp = SparseChannelEstimate(_random_pilots(rng, mask), mask)
-        for ridge in (None, 0.0, 1e-3, auto_ridge(10.0), auto_ridge(30.0)):
+        for ridge in (imputer.DEFAULT_RIDGE_REL, 0.0, 1e-3, auto_ridge(10.0), auto_ridge(30.0)):
             ref, ridges, conds = _fresh_eigh_estimate(sp, ridge)
             imp = estimate_channel_cntk(sp, ridge=ridge)
             assert np.abs(imp.h_hat - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -486,7 +493,7 @@ def _erased_mask(rng, rows):
     return mask
 
 
-@pytest.mark.parametrize("ridge", [None, 0.0, 1e-2])
+@pytest.mark.parametrize("ridge", [imputer.DEFAULT_RIDGE_REL, 0.0, 1e-2])
 def test_condition_matches_svd_oracle(ridge):
     # the condition number read from the eigenvalues equals the SVD's
     rng = np.random.default_rng(18)
@@ -497,7 +504,7 @@ def test_condition_matches_svd_oracle(ridge):
         imp = estimate_channel_cntk(sp, ridge=ridge)
         for band, d in enumerate(imp.diagnostics):
             obs = np.flatnonzero(mask.reshape(-1, 12 * 14)[band])
-            k_oo = estimation_kernel(sp, band).gram[np.ix_(obs, obs)]
+            k_oo = estimation_smoother(sp, band).kernel.gram[np.ix_(obs, obs)]
             oracle = np.linalg.cond(k_oo + d.ridge * np.eye(obs.size))
             assert abs(d.condition - oracle) <= 1e-10 * oracle
 
