@@ -263,6 +263,8 @@ def patch_aggregate(field: np.ndarray, dims: tuple[int, int], q: int) -> np.ndar
     padded on its row axes (m, m') and summed over the joint row shift,
     then the q-term partial sum is padded on its column axes (n, n') and
     summed over the joint column shift: 2q shifted sums instead of q^2.
+    Each pass works on a transposed copy whose padded axis pair is
+    outermost.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError("q must be odd and positive")
@@ -273,22 +275,26 @@ def patch_aggregate(field: np.ndarray, dims: tuple[int, int], q: int) -> np.ndar
     if q == 1:
         return field.astype(np.float64)
     r = q // 2
-    rows = np.empty((M + 2 * r, N, M + 2 * r, N))
-    rows[r:r + M, :, r:r + M] = field.reshape(M, N, M, N)
-    _odd_reflect_pad(rows[:, :, r:r + M], 0, r)
-    _odd_reflect_pad(rows, 2, r)
-    part = rows[:M, :, :M] + rows[1:M + 1, :, 1:M + 1]
+    # each pass pads and shifts the outermost axis pair of its buffer, so a
+    # fill is a few contiguous slabs: rows (m, m', n, n'), then cols (n, n', m, m')
+    rows = np.empty((M + 2 * r, M + 2 * r, N, N))
+    rows[r:r + M, r:r + M] = field.reshape(M, N, M, N).transpose(0, 2, 1, 3)
+    _odd_reflect_pad(rows[:, r:r + M], 0, r)
+    _odd_reflect_pad(rows, 1, r)
+    part = rows[:M, :M] + rows[1:M + 1, 1:M + 1]
     for a in range(2, q):
-        part += rows[a:a + M, :, a:a + M]
-    cols = np.empty((M, N + 2 * r, M, N + 2 * r))
-    cols[:, r:r + N, :, r:r + N] = part
-    _odd_reflect_pad(cols[:, :, :, r:r + N], 1, r)
-    _odd_reflect_pad(cols, 3, r)
-    out = cols[:, :N, :, :N] + cols[:, 1:N + 1, :, 1:N + 1]
+        part += rows[a:a + M, a:a + M]
+    del rows  # free each buffer once read: a 12x14 call peaks at 0.7 MB, not 1.1 MB
+    cols = np.empty((N + 2 * r, N + 2 * r, M, M))
+    cols[r:r + N, r:r + N] = part.transpose(2, 3, 0, 1)
+    del part
+    _odd_reflect_pad(cols[:, r:r + N], 0, r)
+    _odd_reflect_pad(cols, 1, r)
+    out = cols[:N, :N] + cols[1:N + 1, 1:N + 1]
     for b in range(2, q):
-        out += cols[:, b:b + N, :, b:b + N]
+        out += cols[b:b + N, b:b + N]
     out /= q * q
-    return out.reshape(P, P)
+    return out.transpose(2, 0, 3, 1).reshape(P, P)
 
 
 def compute_cntk(prior: PriorTensor, cfg: CntkConfig = CntkConfig()) -> CoordinateKernel:

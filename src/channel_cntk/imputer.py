@@ -9,18 +9,21 @@ A band's kernel is the normalized CNTK over the weighted estimation prior,
 which holds the band's pilot mask and coordinates but no pilot values;
 `estimation_smoother(sparse, band).kernel` returns it. For a fixed mask
 and ridge the estimator is therefore a linear map from pilots to grid, the
-smoother W = K_ao (K_oo + ridge*I)^-1, so the unit of work is a distinct
-band mask: its bands share one kernel, one `SpectralSmoother` (the
-eigendecomposition K_oo = U diag(e) U^T and B = K_ao U) and one
-`kernel_regress` call (each band's centered pilots are one column). The
-smoother is cached per process, keyed on the band mask, `CntkConfig` and
-`PriorWeights`, in a bounded cache of KERNEL_CACHE_SIZE entries, so a
-receiver with a fixed pilot layout builds its kernel and eigendecomposes
-K_oo once; each call only filters the eigenvalues by 1/(e + ridge), for the
-number the caller gives (the jitter DEFAULT_RIDGE_REL by default, or
-`auto_ridge(snr_db)`), and applies B diag(1/(e + ridge)) U^T to the pilots.
+smoother W = K_ao (K_oo + ridge*I)^-1 (the Gaussian-process posterior-mean
+"hat" map), and the estimator applies it: a band's estimate is
+W (y - mean(y)) + mean(y). The unit of work is a distinct band mask: its
+bands share one kernel, one `SpectralSmoother` (the eigendecomposition
+K_oo = U diag(e) U^T and B = K_ao U), one W per ridge and one
+`kernel_regress` call (each band's centered pilots are one column). Both
+are cached per process: the smoother keyed on the band mask, `CntkConfig`
+and `PriorWeights` (KERNEL_CACHE_SIZE entries), and W =
+B diag(1/(e + ridge)) U^T keyed on those and the ridge (MAP_CACHE_SIZE
+entries, W alone, never a kernel). So a receiver with a fixed pilot layout
+builds its kernel and eigendecomposes K_oo once, forms W once per ridge (the
+jitter DEFAULT_RIDGE_REL by default, or `auto_ridge(snr_db)`), and each
+call only applies W to the pilots.
 `kernel_s` and `solve_s` in the diagnostics are a group's time to get its
-smoother (build or cache hit) and to apply it.
+smoother and W (built or cache hits) and to apply W.
 A singular or slightly indefinite K_oo needs no retry: when its smallest
 eigenvalue plus the ridge falls below EIG_FLOOR_REL * trace(K_oo)/|obs|,
 the ridge is raised to lift that eigenvalue to the floor, and the ridge
@@ -33,8 +36,12 @@ ridge deliberately smooths observed cells too.
 from __future__ import annotations
 
 import functools
+import numbers
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +69,17 @@ EIG_FLOOR_REL = 1e-10
 #: differ cost +9.5% of peak RSS.
 KERNEL_CACHE_SIZE = 4
 
+#: Smoother matrices W kept across calls, one per (band mask, ridge). A fixed
+#: pilot layout at the 4 SNR levels of an auto-ridge receiver (`slot-fixed`)
+#: uses 4 ridges, which must all stay resident. An entry holds W alone, never
+#: a kernel: 168 x 24 floats, about 32 KB, for a dense 12 x 14 band.
+MAP_CACHE_SIZE = 4
+
+
+def _is_ridge(ridge) -> bool:
+    """The solver's ridge rule: a real number >= 0 (so not NaN, not a string)."""
+    return isinstance(ridge, numbers.Real) and ridge >= 0
+
 
 @dataclass(frozen=True)
 class SpectralSmoother:
@@ -69,7 +87,7 @@ class SpectralSmoother:
 
     With K_oo = U diag(e) U^T (e ascending) and B = K_ao U, where K_ao is
     the kernel's columns at `obs`, the ridge estimate of targets y is
-    B diag(1/(e + lam)) U^T y. `floor` is the eigenvalue floor
+    W y with W = B diag(1/(e + lam)) U^T (`matrix`). `floor` is the eigenvalue floor
     EIG_FLOOR_REL * trace(K_oo)/n, at least the smallest normal float.
     Build it with `spectral_smoother`; all arrays are read-only.
     """
@@ -87,10 +105,25 @@ class SpectralSmoother:
         lam is `ridge` unless e_min + ridge falls below `floor`; then lam =
         floor - e_min, so a singular or indefinite K_oo still gives a finite
         estimate. The condition number is (e_max + lam) / (e_min + lam).
+        Raises ValueError unless `ridge` is a non-negative number.
         """
+        if not _is_ridge(ridge):
+            raise ValueError("ridge must be a non-negative number")
         e = self.e
         lam = float(max(ridge, self.floor - e[0]))
         return lam, float((e[-1] + lam) / (e[0] + lam))
+
+    def matrix(self, ridge: float) -> tuple[np.ndarray, float, float]:
+        """(W, lam, condition) for a requested ridge, lam and condition from `regularize`.
+
+        W = B diag(1/(e + lam)) U^T = K_ao (K_oo + lam*I)^-1 is the read-only
+        (P, n) map from the targets at `obs` to the ridge estimate at all P
+        pixels.
+        """
+        lam, cond = self.regularize(ridge)
+        W = (self.B * (1.0 / (self.e + lam))) @ self.U.T
+        W.setflags(write=False)
+        return W, lam, cond
 
 
 def spectral_smoother(kernel: CoordinateKernel, obs: np.ndarray) -> SpectralSmoother:
@@ -111,16 +144,15 @@ def spectral_smoother(kernel: CoordinateKernel, obs: np.ndarray) -> SpectralSmoo
                             floor, _locked(gram[:, obs] @ U, np.float64))
 
 
-@dataclass(frozen=True)
-class BlockDiagnostics:
+class BlockDiagnostics(NamedTuple):
     """Per-block solver health: row band, ridge used, condition number, stage times.
 
-    `kernel_s` is the time spent getting the band's `SpectralSmoother`: on
-    a cache miss the kernel build, the eigendecomposition of K_oo and
-    B = K_ao U; on a hit a lookup. `solve_s` is the time `kernel_regress`
-    takes to filter the eigenvalues by the ridge and apply the smoother.
-    The bands of one mask group share its ridge, condition, `kernel_s` and
-    `solve_s`."""
+    `kernel_s` is the time spent getting the band's `SpectralSmoother` and
+    its W: on a cache miss the kernel build, the eigendecomposition of K_oo
+    and B = K_ao U, or forming W; on hits two lookups. `solve_s` is the
+    time `kernel_regress` takes to apply W. The bands of one mask group
+    share its ridge, condition, `kernel_s` and `solve_s`. An immutable
+    named tuple, so a slot's 30 entries cost no per-field `__init__`."""
 
     block_index: int
     ridge: float
@@ -140,33 +172,27 @@ class ImputedChannel:
         object.__setattr__(self, "h_hat", _locked(self.h_hat, np.complex128))
 
 
-def kernel_regress(smoother: SpectralSmoother, values: np.ndarray,
-                   ridge: float) -> tuple[np.ndarray, float, float]:
-    """Hhat = K_ao (K_oo + lam*I)^-1 y over all P pixels, as B diag(1/(e+lam)) U^T y.
+def kernel_regress(W: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Hhat = W y over all P pixels, for a smoother matrix W from `SpectralSmoother.matrix`.
 
-    `values` y is (n,) or (n, B), rows aligned with `smoother.obs`, and Hhat
-    is (P,) or (P, B). lam and the condition number come from
-    `smoother.regularize(ridge)`. Returns (Hhat, lam, condition).
+    `values` y is (n,) or (n, B) for W of shape (P, n), rows aligned with
+    the smoother's `obs`, and Hhat is (P,) or (P, B).
     """
     vals = np.asarray(values, dtype=np.complex128)
-    n = smoother.obs.size
+    n = W.shape[1]
     if vals.ndim > 2 or vals.shape[:1] != (n,):
         raise ValueError(f"values must be (n,) or (n, B) with n = {n} observed pixels")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite (no NaN/Inf)")
-    if not ridge >= 0:  # also rejects NaN
-        raise ValueError("ridge must be a non-negative number")
-    lam, cond = smoother.regularize(ridge)
-    cols = vals.reshape(n, -1).T
-    # One (n, 2) [re, im] block per column: stacked matmul makes one
-    # two-column BLAS call per block, with the shapes of a lone column, so a
-    # column's bits do not depend on how many columns share the smoother
-    # (a many-column product sums in an order that depends on its column
-    # count); and OpenBLAS does not thread calls this small.
-    ri = np.stack([cols.real, cols.imag], axis=-1)
-    out = np.matmul(smoother.B, (1.0 / (smoother.e + lam))[:, None] * np.matmul(smoother.U.T, ri))
+    cols = np.ascontiguousarray(vals.reshape(n, -1).T)
+    # Each column, read as an (n, 2) [re, im] float view, is one stacked
+    # (P, n) @ (n, 2) product, with the shapes of a lone column: a column's
+    # bits do not depend on how many columns share W (a many-column product
+    # sums in an order that depends on its column count), and OpenBLAS does
+    # not thread calls this small.
+    out = np.matmul(W, cols.view(np.float64).reshape(len(cols), n, 2))
     est = out.view(np.complex128)[..., 0].T
-    return est.reshape((-1,) + vals.shape[1:]), lam, cond
+    return est.reshape((-1,) + vals.shape[1:])
 
 
 def auto_ridge(snr_db: float) -> float:
@@ -211,6 +237,47 @@ def _mask_smoother(shape: tuple[int, int], mask_bytes: bytes,
     return spectral_smoother(kernel, np.flatnonzero(mask))
 
 
+class _MapCache:
+    """The estimator's smoother matrices: (W, lam, condition) keyed on (band
+    shape, mask bytes, `CntkConfig`, `PriorWeights`, ridge), least recently
+    used first out past `size` entries, safe to share between threads. A miss
+    forms W from the smoother the caller holds, so the cache keeps no
+    kernel. `hits` and `misses` count lookups since the last `clear`."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.hits = self.misses = 0
+        self._maps: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._maps)
+
+    def get(self, key: tuple, smoother: SpectralSmoother,
+            ridge: float) -> tuple[np.ndarray, float, float]:
+        with self._lock:
+            entry = self._maps.get(key)
+            if entry is not None:
+                self._maps.move_to_end(key)
+                self.hits += 1
+                return entry
+            self.misses += 1
+        entry = smoother.matrix(ridge)  # raises on a bad ridge, which is never stored
+        with self._lock:
+            self._maps[key] = entry
+            while len(self._maps) > self.size:
+                self._maps.popitem(last=False)
+        return entry
+
+    def clear(self) -> None:
+        with self._lock:
+            self._maps.clear()
+            self.hits = self.misses = 0
+
+
+_mask_maps = _MapCache(MAP_CACHE_SIZE)
+
+
 def estimation_smoother(sparse: SparseChannelEstimate, band: int,
                         cfg: CntkConfig = CntkConfig(),
                         weights: PriorWeights = PriorWeights()) -> SpectralSmoother:
@@ -241,26 +308,45 @@ def estimate_channel_cntk(sparse: SparseChannelEstimate,
                noise-matched choice when the operating SNR is known.
     """
     masks = _band_masks(sparse)
-    bands = len(masks)
-    groups = {}  # mask bytes -> bands with that mask; np.unique(axis=0) costs ~1 ms
-    for bi, band_mask in enumerate(masks):
-        groups.setdefault(band_mask.tobytes(), []).append(bi)
+    bands, shape = len(masks), masks.shape[1:]
+    flat_masks = masks.reshape(bands, -1)
+    if (flat_masks == flat_masks[0]).all():
+        groups = {flat_masks[0].tobytes(): None}  # None: every band
+    else:
+        groups = {}  # mask bytes -> bands with that mask; np.unique(axis=0) costs ~1 ms
+        for bi, band_mask in enumerate(flat_masks):
+            groups.setdefault(band_mask.tobytes(), []).append(bi)
     values = sparse.values.reshape(bands, -1)
-    out = np.empty(values.shape, np.complex128)
-    diags = [None] * bands
-    for key, members in groups.items():
+    out = np.empty(values.shape, np.complex128) if len(groups) > 1 else None
+    group_of = np.zeros(bands, np.intp)
+    stats = []  # (ridge, condition, solve_s, kernel_s) per group
+    for g, (key, members) in enumerate(groups.items()):
         t0 = time.perf_counter()
-        smoother = _mask_smoother(masks.shape[1:], key, cfg, weights)
+        smoother = _mask_smoother(shape, key, cfg, weights)
+        W, lam_used, cond = _mask_maps.get((shape, key, cfg, weights, ridge), smoother, ridge)
         kernel_s = time.perf_counter() - t0
-        obs_idx = smoother.obs
-        vals = values[np.ix_(members, obs_idx)]  # C order: each band mean sums as alone
+        obs = smoother.obs
+        # gather in C order, so each band mean sums as if its band were alone
+        # (values[:, obs] is F-ordered)
+        if members is None:
+            cells = (slice(None), obs)
+            vals = np.take(values, obs, axis=1)
+        else:
+            cells = np.ix_(members, obs)
+            vals = values[cells]
+            group_of[members] = g
         mean = vals.mean(axis=1, keepdims=True)
         t0 = time.perf_counter()
-        flat, lam_used, cond = kernel_regress(smoother, (vals - mean).T, ridge)
+        est = kernel_regress(W, (vals - mean).T).T  # (bands, P), a fresh array
         solve_s = time.perf_counter() - t0
-        out[members] = flat.T + mean
+        est += mean
+        if members is None:
+            out = est
+        else:
+            out[members] = est
         if ridge == 0:
-            out[np.ix_(members, obs_idx)] = vals
-        for bi in members:
-            diags[bi] = BlockDiagnostics(bi, lam_used, cond, solve_s, kernel_s)
-    return ImputedChannel(out.reshape(sparse.shape), tuple(diags))
+            out[cells] = vals
+        stats.append((lam_used, cond, solve_s, kernel_s))
+    columns = np.array(stats)[group_of].T.tolist()
+    diags = tuple(map(BlockDiagnostics, range(bands), *columns))
+    return ImputedChannel(out.reshape(sparse.shape), diags)

@@ -131,7 +131,7 @@ def test_criterion_4_interpolation_exactness():
     kernel = estimation_smoother(sp, 0).kernel
     obs = np.flatnonzero(pat.mask.reshape(-1))
     y = vals.reshape(-1)[obs]
-    reg_out, _, _ = kernel_regress(spectral_smoother(kernel, obs), y, 0.0)
+    reg_out = kernel_regress(spectral_smoother(kernel, obs).matrix(0.0)[0], y)
     assert np.abs(reg_out[obs] - y).max() <= 1e-6 * np.abs(y).max()
     # (b) naive-inverse oracle on random 5x5-pixel instances
     for trial in range(5):
@@ -140,7 +140,7 @@ def test_criterion_4_interpolation_exactness():
         obs = np.sort(rng.choice(25, size=3, replace=False)).astype(np.int64)
         yy = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         lam = 1e-4
-        fast, _, _ = kernel_regress(spectral_smoother(K, obs), yy, lam)
+        fast = kernel_regress(spectral_smoother(K, obs).matrix(lam)[0], yy)
         k_oo = K.gram[np.ix_(obs, obs)]
         naive = K.gram[:, obs] @ np.linalg.inv(k_oo + lam * np.eye(3)) @ yy
         assert np.abs(fast - naive).max() <= 1e-8 * np.abs(naive).max()

@@ -79,13 +79,14 @@ class TestRunSweep:
         assert a.to_csv() == b.to_csv()
 
     def test_thread_count_invariance(self):
-        # the threads share the process-wide smoother and KNN plan caches:
+        # the threads share the process-wide smoother, map and KNN plan caches:
         # start them on empty ones and switch threads often, so they race to
         # fill them
         kw = dict(rows=24, cols=14, measure_time=False)
         methods = ["nearest", "knn", "cntk"]
         a = run_sweep(methods, [0.0, 20.0], ["dense", "sparse"], 2, 3, n_threads=1, **kw)
         imputer._mask_smoother.cache_clear()
+        imputer._mask_maps.clear()
         baselines._knn_plan.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -128,6 +129,24 @@ class TestRunSweep:
             run_sweep(["nearest"], [10.0], ["dense"], 0, seed=1)
         with pytest.raises(ValueError, match="method"):
             run_sweep([], [10.0], ["dense"], 1, seed=1)
+
+    @pytest.mark.parametrize("methods", [["linear"], ["linear", "cntk"]])
+    @pytest.mark.parametrize("ridge", ["Auto", None, float("nan"), -1.0])
+    def test_bad_cntk_ridge_rejected_before_simulating(self, monkeypatch, methods, ridge):
+        # the ridge is checked on entry, whether or not cntk runs, so a typo
+        # fails at once and not after the sweep's simulations
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking cntk_ridge")
+
+        monkeypatch.setattr(evaluate, "simulate_cell", no_simulation)
+        with pytest.raises(ValueError, match="cntk_ridge"):
+            run_sweep(methods, [10.0], ["dense"], 1, 1, rows=24, cntk_ridge=ridge)
+
+    def test_cntk_ridge_accepts_auto_and_numbers(self):
+        kw = dict(rows=24, cols=14, measure_time=False)
+        for ridge in ("auto", 0, 0.0, 1e-3):
+            res = run_sweep(["cntk"], [10.0], ["dense"], 1, 1, cntk_ridge=ridge, **kw)
+            assert math.isfinite(res.rows[0].nmse_db)
 
     def test_empty_sweep_lists_rejected(self):
         with pytest.raises(ValueError, match="at least one SNR required"):

@@ -41,6 +41,12 @@ def _alternating_mask(rows):
     return mask
 
 
+def _regress(K, obs, y, ridge):
+    """(estimate, lam, condition) of targets y at `obs` through a fresh smoother."""
+    W, lam, cond = spectral_smoother(K, obs).matrix(ridge)
+    return kernel_regress(W, y), lam, cond
+
+
 def _random_psd_kernel(rng, M, N, rank=None):
     P = M * N
     B = rng.standard_normal((P, rank or P + 2))
@@ -52,7 +58,7 @@ class TestKernelRegress:
         rng = np.random.default_rng(0)
         K = _random_psd_kernel(rng, 3, 3)
         y = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        out, _, _ = kernel_regress(spectral_smoother(K, np.arange(9)), y, 0.0)
+        out, _, _ = _regress(K, np.arange(9), y, 0.0)
         assert np.abs(out - y).max() < 1e-8
 
     def test_single_observation_scalar_ratio(self):
@@ -60,7 +66,7 @@ class TestKernelRegress:
         K = _random_psd_kernel(rng, 2, 3)
         o = 4
         v = 2.0 - 1.5j
-        out, _, _ = kernel_regress(spectral_smoother(K, np.array([o])), np.array([v]), 0.0)
+        out, _, _ = _regress(K, np.array([o]), np.array([v]), 0.0)
         expect = v * K.gram[:, o] / K.gram[o, o]
         assert np.abs(out - expect).max() < 1e-12
 
@@ -71,7 +77,7 @@ class TestKernelRegress:
             obs = np.sort(rng.choice(25, size=3, replace=False)).astype(np.int64)
             y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             lam = 1e-3
-            out, _, _ = kernel_regress(spectral_smoother(K, obs), y, lam)
+            out, _, _ = _regress(K, obs, y, lam)
             k_oo = K.gram[np.ix_(obs, obs)]
             naive = K.gram[:, obs] @ np.linalg.inv(k_oo + lam * np.eye(3)) @ y
             denom = np.abs(naive).max()
@@ -84,9 +90,9 @@ class TestKernelRegress:
         y1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         y2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         lam = 1e-6
-        a, _, _ = kernel_regress(spectral_smoother(K, obs), y1, lam)
-        b, _, _ = kernel_regress(spectral_smoother(K, obs), y2, lam)
-        ab, _, _ = kernel_regress(spectral_smoother(K, obs), y1 + y2, lam)
+        a, _, _ = _regress(K, obs, y1, lam)
+        b, _, _ = _regress(K, obs, y2, lam)
+        ab, _, _ = _regress(K, obs, y1 + y2, lam)
         assert np.abs(ab - (a + b)).max() <= 1e-9 * np.abs(ab).max()
 
     def test_ridge_shrinkage(self):
@@ -94,7 +100,7 @@ class TestKernelRegress:
         K = _random_psd_kernel(rng, 4, 4)
         obs = np.array([0, 3, 7], dtype=np.int64)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        out, _, _ = kernel_regress(spectral_smoother(K, obs), y, 1e12)
+        out, _, _ = _regress(K, obs, y, 1e12)
         assert np.abs(out).max() <= 1e-6 * np.abs(y).max()
 
     def test_singular_block_floored(self):
@@ -104,7 +110,7 @@ class TestKernelRegress:
         K = CoordinateKernel(np.outer(v, v), (2, 2))
         obs = np.array([0, 1], dtype=np.int64)
         y = np.array([1.0 + 0j, 2.0 + 0j])
-        out, lam, cond = kernel_regress(spectral_smoother(K, obs), y, 0.0)
+        out, lam, cond = _regress(K, obs, y, 0.0)
         k_oo = K.gram[np.ix_(obs, obs)]
         floor = imputer.EIG_FLOOR_REL * np.trace(k_oo) / obs.size
         assert np.all(np.isfinite(out))
@@ -116,7 +122,7 @@ class TestKernelRegress:
         # is the smallest normal float, and the estimate is zero, not NaN
         K = CoordinateKernel(np.zeros((4, 4)), (2, 2))
         obs = np.array([1, 3], dtype=np.int64)
-        out, lam, cond = kernel_regress(spectral_smoother(K, obs), np.array([1 + 2j, -3j]), 0.0)
+        out, lam, cond = _regress(K, obs, np.array([1 + 2j, -3j]), 0.0)
         assert np.array_equal(out, np.zeros(4, np.complex128))
         assert lam >= np.finfo(np.float64).tiny
         assert cond == 1.0
@@ -130,7 +136,7 @@ class TestKernelRegress:
                          [0.0, 0.5, 0.0, 1.0]])
         K = CoordinateKernel(gram, (2, 2))
         obs = np.array([0, 1], dtype=np.int64)
-        out, lam, cond = kernel_regress(spectral_smoother(K, obs), np.array([1 + 1j, 2 - 1j]), 1e-3)
+        out, lam, cond = _regress(K, obs, np.array([1 + 1j, 2 - 1j]), 1e-3)
         floor = imputer.EIG_FLOOR_REL * 2.0 / 2
         assert np.all(np.isfinite(out))
         assert abs((lam - 1.0) - floor) <= 1e-4 * floor
@@ -143,18 +149,18 @@ class TestKernelRegress:
         K = _random_psd_kernel(rng, 4, 5)
         obs = np.array([0, 3, 7, 11, 18], dtype=np.int64)
         Y = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        sm = spectral_smoother(K, obs)
-        out, _, _ = kernel_regress(sm, Y, 1e-3)
+        W = spectral_smoother(K, obs).matrix(1e-3)[0]
+        out = kernel_regress(W, Y)
         assert out.shape == (20, 3)
         for b in range(3):
-            col, _, _ = kernel_regress(sm, Y[:, b], 1e-3)
+            col = kernel_regress(W, Y[:, b])
             assert np.array_equal(out[:, b], col)
         with pytest.raises(ValueError):
-            kernel_regress(sm, np.vstack([Y, Y[:1]]), 1e-3)
+            kernel_regress(W, np.vstack([Y, Y[:1]]))
 
     def test_problem_validation(self):
-        # the observed set is checked when the smoother is built, the values
-        # and the ridge when it is applied
+        # the observed set is checked when the smoother is built, the ridge
+        # when its matrix is formed, the values when the matrix is applied
         rng = np.random.default_rng(5)
         K = _random_psd_kernel(rng, 2, 2)
         with pytest.raises(ValueError):
@@ -166,13 +172,14 @@ class TestKernelRegress:
         with pytest.raises(ValueError):
             spectral_smoother(K, np.array([], dtype=np.int64))
         sm = spectral_smoother(K, np.array([0, 1]))
-        for ridge in (-1.0, np.nan):
+        for ridge in (-1.0, np.nan, None, "auto"):
             with pytest.raises(ValueError, match="ridge must be a non-negative number"):
-                kernel_regress(sm, np.array([1j, 2j]), ridge)
+                sm.matrix(ridge)
+        W = sm.matrix(0.0)[0]
         with pytest.raises(ValueError, match="finite"):
-            kernel_regress(sm, np.array([np.nan, 2j]), 0.0)
+            kernel_regress(W, np.array([np.nan, 2j]))
         with pytest.raises(ValueError):
-            kernel_regress(sm, np.ones((2, 1, 1)), 0.0)
+            kernel_regress(W, np.ones((2, 1, 1)))
 
     def test_smoother_is_read_only(self):
         # cached smoothers are shared by every caller in the process
@@ -440,6 +447,91 @@ def test_cached_smoother_matches_fresh_eigh():
             assert [d.condition for d in imp.diagnostics] == conds
 
 
+class TestSmootherMatrix:
+    """The estimate is the linear map W = K_ao (K_oo + lam*I)^-1 it reports."""
+
+    RIDGES = (imputer.DEFAULT_RIDGE_REL, 0.0, 1e-3, auto_ridge(10.0), auto_ridge(30.0))
+
+    @staticmethod
+    def _masks():
+        rng = np.random.default_rng(21)
+        masks = [preset_pattern(p, 12, 14).mask for p in ("dense", "medium", "sparse")]
+        return masks + [_erased_mask(rng, 12) for _ in range(20)]
+
+    def test_matrix_equals_fresh_solve(self):
+        # W from the cached eigenpairs against a fresh LU solve, with lam and
+        # the condition number as a fresh eigendecomposition gives them
+        for mask in self._masks():
+            sm = estimation_smoother(SparseChannelEstimate(np.where(mask, 1 + 0j, 0), mask), 0)
+            gram, obs = sm.kernel.gram, sm.obs
+            k_oo = gram[np.ix_(obs, obs)]
+            e = np.linalg.eigh(k_oo)[0]
+            floor = max(imputer.EIG_FLOOR_REL * float(np.trace(k_oo)) / obs.size,
+                        np.finfo(np.float64).tiny)
+            for ridge in self.RIDGES:
+                W, lam, cond = sm.matrix(ridge)
+                assert (lam, cond) == sm.regularize(ridge)
+                assert lam == float(max(ridge, floor - e[0]))
+                assert cond == float((e[-1] + lam) / (e[0] + lam))
+                ref = np.linalg.solve(k_oo + lam * np.eye(obs.size), gram[obs]).T
+                assert W.shape == (gram.shape[0], obs.size)
+                assert np.abs(W - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_estimate_applies_reported_matrix(self):
+        # each band's estimate is W (y_b - mean y_b) + mean y_b, pilots kept at ridge 0
+        rng = np.random.default_rng(22)
+        for mask in self._masks():
+            slot_mask = np.vstack([mask, mask])
+            sp = SparseChannelEstimate(_random_pilots(rng, slot_mask), slot_mask)
+            sm = estimation_smoother(sp, 0)
+            for ridge in self.RIDGES:
+                W, lam, cond = sm.matrix(ridge)
+                imp = estimate_channel_cntk(sp, ridge=ridge)
+                assert [(d.ridge, d.condition) for d in imp.diagnostics] == [(lam, cond)] * 2
+                for band in range(2):
+                    y = sp.values[12 * band:12 * band + 12].reshape(-1)[sm.obs]
+                    ref = W @ (y - y.mean()) + y.mean()
+                    if ridge == 0:
+                        ref[sm.obs] = y
+                    got = imp.h_hat[12 * band:12 * band + 12].reshape(-1)
+                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_matrix_is_read_only(self):
+        pat = preset_pattern("dense", 12, 14)
+        sm = estimation_smoother(SparseChannelEstimate(np.where(pat.mask, 1 + 0j, 0), pat.mask), 0)
+        W = sm.matrix(1e-3)[0]
+        assert not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0] = 1.0
+
+    def test_map_cache_per_mask_and_ridge(self):
+        # a fixed layout at 4 ridges forms 4 maps, then only looks them up
+        rng = np.random.default_rng(23)
+        pat = preset_pattern("dense", 360, 14)
+        sparse = SparseChannelEstimate(_random_pilots(rng, pat.mask), pat.mask)
+        ridges = [auto_ridge(snr) for snr in (0.0, 10.0, 20.0, 30.0)]
+        maps = imputer._mask_maps
+        maps.clear()
+        for ridge in ridges:
+            estimate_channel_cntk(sparse, ridge=ridge)
+        assert (maps.misses, maps.hits) == (4, 0)
+        for ridge in ridges:
+            estimate_channel_cntk(sparse, ridge=ridge)
+        assert (maps.misses, maps.hits) == (4, 4)
+        assert len(maps) == 4 <= imputer.MAP_CACHE_SIZE
+
+    def test_map_cache_bounded_under_churn(self):
+        # 30 distinct band masks form 30 maps, and at most MAP_CACHE_SIZE stay
+        rng = np.random.default_rng(24)
+        mask = _erased_mask(rng, 360)
+        assert len({b.tobytes() for b in mask.reshape(-1, 12, 14)}) == 30
+        maps = imputer._mask_maps
+        maps.clear()
+        estimate_channel_cntk(SparseChannelEstimate(_random_pilots(rng, mask), mask), ridge=1e-2)
+        assert (maps.misses, maps.hits) == (30, 0)
+        assert len(maps) == imputer.MAP_CACHE_SIZE
+
+
 def test_kernel_cache_hit_equals_cold_call():
     # a warm cache never changes an estimate: after a default call, a changed
     # config, prior weights or ridge gives the bits of a call made on an empty
@@ -479,7 +571,7 @@ def test_escalation_ladder_recovers_singular_block():
     K = CoordinateKernel(gram, (4, 4))
     obs = np.array([0, 1, 2], dtype=np.int64)
     y = np.array([1 + 1j, 2 + 0j, 0.5j])
-    out, lam, _ = kernel_regress(spectral_smoother(K, obs), y, 0.0)
+    out, lam, _ = _regress(K, obs, y, 0.0)
     assert np.all(np.isfinite(out))
     assert lam > 0
 
