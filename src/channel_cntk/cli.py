@@ -224,7 +224,7 @@ def cmd_estimate(args) -> int:
         print(f"ridge: auto (snr {manifest.get('snr_db')} dB -> {ridge:g})")
     diags = []  # the cntk bands' solver diagnostics, for the summary line
     if args.method == "cntk":
-        cache_before = imputer._mask_smoother.cache_info()
+        cache_before = imputer._mask_map.cache_info()
 
         def fn(sparse):
             imputed = estimate_channel_cntk(sparse, cntk_cfg, ridge)
@@ -249,10 +249,10 @@ def cmd_estimate(args) -> int:
           f"{ratio_db(ratio_sum / len(records)):.3f} dB")
     print(f"max pilot residual (relative): {max_pilot_residual:.3e}")
     if diags:
-        cache = imputer._mask_smoother.cache_info()
+        cache = imputer._mask_map.cache_info()
         print(f"cntk solver: {len(diags)} bands, "
               f"{sum(d.ridge > ridge for d in diags)} ridge(s) lifted by the eigenvalue floor, "
-              f"worst condition {max(d.condition for d in diags):.3e}, smoother cache "
+              f"worst condition {max(d.condition for d in diags):.3e}, map cache "
               f"{cache.hits - cache_before.hits} hit(s), "
               f"{cache.misses - cache_before.misses} miss(es)")
     out_path = _resolve_out(args.out)

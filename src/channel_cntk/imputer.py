@@ -16,14 +16,15 @@ bands share one kernel, one `SpectralSmoother` (the eigendecomposition
 K_oo = U diag(e) U^T and B = K_ao U), one W per ridge and one
 `kernel_regress` call (each band's centered pilots are one column). Both
 are cached per process: the smoother keyed on the band mask, `CntkConfig`
-and `PriorWeights` (KERNEL_CACHE_SIZE entries), and W =
+and `PriorWeights` (KERNEL_CACHE_SIZE entries, `_mask_smoother`), and W =
 B diag(1/(e + ridge)) U^T keyed on those and the ridge (MAP_CACHE_SIZE
-entries, W alone, never a kernel). So a receiver with a fixed pilot layout
-builds its kernel and eigendecomposes K_oo once, forms W once per ridge (the
-jitter DEFAULT_RIDGE_REL by default, or `auto_ridge(snr_db)`), and each
-call only applies W to the pilots.
+entries, `_mask_map`, W and the pilot indices, never a kernel). The
+estimator looks up W; only a miss there asks for the smoother. So a
+receiver with a fixed pilot layout builds its kernel and eigendecomposes
+K_oo once, forms W once per ridge (the jitter DEFAULT_RIDGE_REL by default,
+or `auto_ridge(snr_db)`), and each call only applies W to the pilots.
 `kernel_s` and `solve_s` in the diagnostics are a group's time to get its
-smoother and W (built or cache hits) and to apply W.
+W (formed or a cache hit) and to apply it.
 A singular or slightly indefinite K_oo needs no retry: when its smallest
 eigenvalue plus the ridge falls below EIG_FLOOR_REL * trace(K_oo)/|obs|,
 the ridge is raised to lift that eigenvalue to the floor, and the ridge
@@ -37,9 +38,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,8 +70,9 @@ KERNEL_CACHE_SIZE = 4
 
 #: Smoother matrices W kept across calls, one per (band mask, ridge). A fixed
 #: pilot layout at the 4 SNR levels of an auto-ridge receiver (`slot-fixed`)
-#: uses 4 ridges, which must all stay resident. An entry holds W alone, never
-#: a kernel: 168 x 24 floats, about 32 KB, for a dense 12 x 14 band.
+#: uses 4 ridges, which must all stay resident. An entry holds W and its
+#: pilot indices, never a kernel: W is 168 x 24 floats, about 32 KB, for a
+#: dense 12 x 14 band.
 MAP_CACHE_SIZE = 4
 
 
@@ -147,9 +147,10 @@ def spectral_smoother(kernel: CoordinateKernel, obs: np.ndarray) -> SpectralSmoo
 class BlockDiagnostics(NamedTuple):
     """Per-block solver health: row band, ridge used, condition number, stage times.
 
-    `kernel_s` is the time spent getting the band's `SpectralSmoother` and
-    its W: on a cache miss the kernel build, the eigendecomposition of K_oo
-    and B = K_ao U, or forming W; on hits two lookups. `solve_s` is the
+    `kernel_s` is the time spent getting the band's W: on a hit one lookup;
+    on a miss forming W from the band's `SpectralSmoother`, after building it
+    (the kernel, the eigendecomposition of K_oo and B = K_ao U) if that
+    missed too. `solve_s` is the
     time `kernel_regress` takes to apply W. The bands of one mask group
     share its ridge, condition, `kernel_s` and `solve_s`. An immutable
     named tuple, so a slot's 30 entries cost no per-field `__init__`."""
@@ -237,45 +238,19 @@ def _mask_smoother(shape: tuple[int, int], mask_bytes: bytes,
     return spectral_smoother(kernel, np.flatnonzero(mask))
 
 
-class _MapCache:
-    """The estimator's smoother matrices: (W, lam, condition) keyed on (band
-    shape, mask bytes, `CntkConfig`, `PriorWeights`, ridge), least recently
-    used first out past `size` entries, safe to share between threads. A miss
-    forms W from the smoother the caller holds, so the cache keeps no
-    kernel. `hits` and `misses` count lookups since the last `clear`."""
+@functools.lru_cache(maxsize=MAP_CACHE_SIZE)
+def _mask_map(shape: tuple[int, int], mask_bytes: bytes, cfg: CntkConfig,
+              weights: PriorWeights, ridge: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(W, obs, lam, condition) of a band mask at a requested ridge; cached.
 
-    def __init__(self, size: int):
-        self.size = size
-        self.hits = self.misses = 0
-        self._maps: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._maps)
-
-    def get(self, key: tuple, smoother: SpectralSmoother,
-            ridge: float) -> tuple[np.ndarray, float, float]:
-        with self._lock:
-            entry = self._maps.get(key)
-            if entry is not None:
-                self._maps.move_to_end(key)
-                self.hits += 1
-                return entry
-            self.misses += 1
-        entry = smoother.matrix(ridge)  # raises on a bad ridge, which is never stored
-        with self._lock:
-            self._maps[key] = entry
-            while len(self._maps) > self.size:
-                self._maps.popitem(last=False)
-        return entry
-
-    def clear(self) -> None:
-        with self._lock:
-            self._maps.clear()
-            self.hits = self.misses = 0
-
-
-_mask_maps = _MapCache(MAP_CACHE_SIZE)
+    W and lam come from `SpectralSmoother.matrix` of the band's cached
+    smoother; the entry holds W and the observed pixels, never the kernel,
+    so a hit touches neither the smoother cache nor a kernel. A ridge the
+    smoother rejects raises and is never stored.
+    """
+    smoother = _mask_smoother(shape, mask_bytes, cfg, weights)
+    W, lam, cond = smoother.matrix(ridge)
+    return W, smoother.obs, lam, cond
 
 
 def estimation_smoother(sparse: SparseChannelEstimate, band: int,
@@ -311,6 +286,8 @@ def estimate_channel_cntk(sparse: SparseChannelEstimate,
     bands, shape = len(masks), masks.shape[1:]
     flat_masks = masks.reshape(bands, -1)
     if (flat_masks == flat_masks[0]).all():
+        # a fixed layout: one compare replaces the per-band grouping, and the
+        # gather and the write need no band index (a sixth of a slot-fixed slot)
         groups = {flat_masks[0].tobytes(): None}  # None: every band
     else:
         groups = {}  # mask bytes -> bands with that mask; np.unique(axis=0) costs ~1 ms
@@ -322,30 +299,23 @@ def estimate_channel_cntk(sparse: SparseChannelEstimate,
     stats = []  # (ridge, condition, solve_s, kernel_s) per group
     for g, (key, members) in enumerate(groups.items()):
         t0 = time.perf_counter()
-        smoother = _mask_smoother(shape, key, cfg, weights)
-        W, lam_used, cond = _mask_maps.get((shape, key, cfg, weights, ridge), smoother, ridge)
+        W, obs, lam_used, cond = _mask_map(shape, key, cfg, weights, ridge)
         kernel_s = time.perf_counter() - t0
-        obs = smoother.obs
         # gather in C order, so each band mean sums as if its band were alone
         # (values[:, obs] is F-ordered)
-        if members is None:
-            cells = (slice(None), obs)
-            vals = np.take(values, obs, axis=1)
-        else:
-            cells = np.ix_(members, obs)
-            vals = values[cells]
-            group_of[members] = g
+        vals = np.take(values, obs, axis=1) if members is None else values[np.ix_(members, obs)]
         mean = vals.mean(axis=1, keepdims=True)
         t0 = time.perf_counter()
         est = kernel_regress(W, (vals - mean).T).T  # (bands, P), a fresh array
         solve_s = time.perf_counter() - t0
         est += mean
+        if ridge == 0:
+            est[:, obs] = vals
         if members is None:
             out = est
         else:
             out[members] = est
-        if ridge == 0:
-            out[cells] = vals
+            group_of[members] = g
         stats.append((lam_used, cond, solve_s, kernel_s))
     columns = np.array(stats)[group_of].T.tolist()
     diags = tuple(map(BlockDiagnostics, range(bands), *columns))

@@ -10,6 +10,8 @@ import pytest
 from channel_cntk import CntkConfig, cli, imputer
 from channel_cntk.container import load_dataset, load_estimates
 
+from estimator_caches import clear_estimator_caches
+
 
 def _write_config(path, **kv):
     path.write_text(json.dumps(kv), encoding="utf-8")
@@ -136,16 +138,16 @@ class TestEstimate:
         assert estimates[0].shape == (24, 14)
 
     def test_cntk_solver_summary(self, dataset, tmp_path, capsys):
-        # both records share one band mask: the first fills the smoother
-        # cache, the second hits it
-        imputer._mask_smoother.cache_clear()
+        # both records share one band mask and ridge: the first forms the
+        # band's smoother matrix W, the second finds it in the map cache
+        clear_estimator_caches()
         assert cli.main(["estimate", "--dataset", str(dataset), "--method", "cntk",
                          "--out", str(tmp_path / "est.bin")]) == 0
         line = [ln for ln in capsys.readouterr().out.splitlines()
                 if ln.startswith("cntk solver:")]
         assert len(line) == 1
         m = re.fullmatch(r"cntk solver: (\d+) bands, (\d+) ridge\(s\) lifted by the "
-                         r"eigenvalue floor, worst condition (\S+), smoother cache "
+                         r"eigenvalue floor, worst condition (\S+), map cache "
                          r"(\d+) hit\(s\), (\d+) miss\(es\)", line[0])
         assert m is not None, line[0]
         assert (int(m[1]), int(m[2]), int(m[4]), int(m[5])) == (4, 0, 1, 1)

@@ -24,6 +24,7 @@ from channel_cntk.cntk import (
 
 import cntk_reference as reference
 from dual_oracle import mc_dual_oracle
+from estimator_caches import clear_estimator_caches
 from ntk_finite_width import empirical_ntk
 from value_prior import value_prior
 
@@ -423,14 +424,14 @@ def test_estimates_match_reference_recursion(monkeypatch, ridge):
     slots = [SparseChannelEstimate(np.where(mask, rng.standard_normal(mask.shape)
                                             + 1j * rng.standard_normal(mask.shape), 0), mask)
              for mask in _estimation_masks(24).values()]
-    imputer._mask_smoother.cache_clear()
+    clear_estimator_caches()
     fast = [estimate_channel_cntk(sp, ridge=ridge).h_hat for sp in slots]
-    imputer._mask_smoother.cache_clear()
+    clear_estimator_caches()
     monkeypatch.setattr(imputer, "compute_cntk", _reference_kernel)
     try:
         ref = [estimate_channel_cntk(sp, ridge=ridge).h_hat for sp in slots]
     finally:
-        imputer._mask_smoother.cache_clear()
+        clear_estimator_caches()
     for got, want in zip(fast, ref):
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from channel_cntk import baselines, evaluate, imputer
+from channel_cntk import baselines, evaluate
 from channel_cntk import (
     SparseChannelEstimate,
     make_method,
@@ -14,6 +14,8 @@ from channel_cntk import (
     preset_pattern,
     run_sweep,
 )
+
+from estimator_caches import clear_estimator_caches
 
 
 class TestNmse:
@@ -85,8 +87,7 @@ class TestRunSweep:
         kw = dict(rows=24, cols=14, measure_time=False)
         methods = ["nearest", "knn", "cntk"]
         a = run_sweep(methods, [0.0, 20.0], ["dense", "sparse"], 2, 3, n_threads=1, **kw)
-        imputer._mask_smoother.cache_clear()
-        imputer._mask_maps.clear()
+        clear_estimator_caches()
         baselines._knn_plan.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

@@ -22,6 +22,8 @@ from channel_cntk import (
     spectral_smoother,
 )
 
+from estimator_caches import clear_estimator_caches
+
 
 def _random_pilots(rng, mask):
     return np.where(mask, rng.standard_normal(mask.shape)
@@ -311,9 +313,9 @@ class TestEstimationKernel:
         mask = _alternating_mask(48)
         sp = SparseChannelEstimate(_random_pilots(rng, mask), mask)
         for b, band in enumerate(_bands(sp)):
-            imputer._mask_smoother.cache_clear()
+            clear_estimator_caches()
             in_slot = estimation_smoother(sp, b).kernel.gram
-            imputer._mask_smoother.cache_clear()
+            clear_estimator_caches()
             assert np.array_equal(in_slot, estimation_smoother(band, 0).kernel.gram)
 
 
@@ -350,7 +352,7 @@ def _count_calls(monkeypatch, sparse, clear=True, **kwargs):
     estimate at ridge 1e-2 unless kwargs say otherwise, from an empty
     smoother cache unless clear=False."""
     if clear:
-        imputer._mask_smoother.cache_clear()
+        clear_estimator_caches()
     counts = {(imputer, "compute_cntk"): 0, (np.linalg, "eigh"): 0,
               (imputer, "kernel_regress"): 0}
     for key in counts:
@@ -397,7 +399,7 @@ def test_kernel_time_is_shared_within_a_mask_group():
     rng = np.random.default_rng(17)
     mask = _alternating_mask(48)
     sparse = SparseChannelEstimate(_random_pilots(rng, mask), mask)
-    imputer._mask_smoother.cache_clear()
+    clear_estimator_caches()
     for _ in range(2):
         diags = estimate_channel_cntk(sparse).diagnostics
         assert all(d.kernel_s >= 0 for d in diags)
@@ -510,26 +512,27 @@ class TestSmootherMatrix:
         pat = preset_pattern("dense", 360, 14)
         sparse = SparseChannelEstimate(_random_pilots(rng, pat.mask), pat.mask)
         ridges = [auto_ridge(snr) for snr in (0.0, 10.0, 20.0, 30.0)]
-        maps = imputer._mask_maps
-        maps.clear()
+        clear_estimator_caches()
         for ridge in ridges:
             estimate_channel_cntk(sparse, ridge=ridge)
-        assert (maps.misses, maps.hits) == (4, 0)
+        info = imputer._mask_map.cache_info()
+        assert (info.misses, info.hits) == (4, 0)
         for ridge in ridges:
             estimate_channel_cntk(sparse, ridge=ridge)
-        assert (maps.misses, maps.hits) == (4, 4)
-        assert len(maps) == 4 <= imputer.MAP_CACHE_SIZE
+        info = imputer._mask_map.cache_info()
+        assert (info.misses, info.hits) == (4, 4)
+        assert info.currsize == 4 <= imputer.MAP_CACHE_SIZE
 
     def test_map_cache_bounded_under_churn(self):
         # 30 distinct band masks form 30 maps, and at most MAP_CACHE_SIZE stay
         rng = np.random.default_rng(24)
         mask = _erased_mask(rng, 360)
         assert len({b.tobytes() for b in mask.reshape(-1, 12, 14)}) == 30
-        maps = imputer._mask_maps
-        maps.clear()
+        clear_estimator_caches()
         estimate_channel_cntk(SparseChannelEstimate(_random_pilots(rng, mask), mask), ridge=1e-2)
-        assert (maps.misses, maps.hits) == (30, 0)
-        assert len(maps) == imputer.MAP_CACHE_SIZE
+        info = imputer._mask_map.cache_info()
+        assert (info.misses, info.hits) == (30, 0)
+        assert info.currsize == imputer.MAP_CACHE_SIZE
 
 
 def test_kernel_cache_hit_equals_cold_call():
@@ -543,9 +546,9 @@ def test_kernel_cache_hit_equals_cold_call():
     for kwargs, builds in ((dict(cfg=CntkConfig(depth=4)), 2),
                            (dict(weights=PriorWeights(mask=0.3)), 2),
                            (dict(ridge=auto_ridge(10.0)), 0)):
-        cache.cache_clear()
+        clear_estimator_caches()
         cold = estimate_channel_cntk(sparse, **kwargs)
-        cache.cache_clear()
+        clear_estimator_caches()
         estimate_channel_cntk(sparse)
         misses = cache.cache_info().misses
         warm = estimate_channel_cntk(sparse, **kwargs)
