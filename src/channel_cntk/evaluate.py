@@ -165,13 +165,14 @@ def run_sweep(methods: Sequence[str], snr_list: Sequence[float],
     seed derive_seed(seed, snr index, pattern index, r), and every method
     estimates that slot, so a method's row does not depend on the others.
     cntk_ridge "auto" matches the ridge to the cell's operating SNR (see
-    imputer.auto_ridge); a non-negative number pins it across all cells.
-    Anything else raises ValueError before any simulation, whether or not
-    "cntk" is among the methods. With measure_time=False the timing column
-    is pinned to 0.0 and the CSV is byte-reproducible across runs.
+    imputer.auto_ridge); a finite non-negative number pins it across all
+    cells. Anything else raises ValueError before any simulation, whether
+    or not "cntk" is among the methods. With measure_time=False the timing
+    column is pinned to 0.0 and the CSV is byte-reproducible across runs.
     """
     if not (cntk_ridge == "auto" or _is_ridge(cntk_ridge)):
-        raise ValueError(f"cntk_ridge must be 'auto' or a non-negative number, got {cntk_ridge!r}")
+        raise ValueError("cntk_ridge must be 'auto' or a finite non-negative number, "
+                         f"got {cntk_ridge!r}")
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     if not methods:

@@ -8,35 +8,37 @@ of the output. `_band_masks` is the one place a slot is cut into bands.
 A band's kernel is the normalized CNTK over the weighted estimation prior,
 which holds the band's pilot mask and coordinates but no pilot values;
 `estimation_smoother(sparse, band).kernel` returns it. For a fixed mask
-and ridge the estimator is therefore a linear map from pilots to grid, the
-smoother W = K_ao (K_oo + ridge*I)^-1 (the Gaussian-process posterior-mean
-"hat" map), and the estimator applies it: a band's estimate is
-W (y - mean(y)) + mean(y). The unit of work is a distinct band mask: its
-bands share one kernel, one `SpectralSmoother` (the eigendecomposition
-K_oo = U diag(e) U^T and B = K_ao U), one W per ridge and one
-`kernel_regress` call (each band's centered pilots are one column). Both
+and ridge the estimator is therefore a linear map from pilots to grid, and
+the estimator applies it. The GP posterior-mean "hat" map is the smoother
+W = K_ao (K_oo + ridge*I)^-1; with the band's pilot mean as the constant
+prior mean it becomes the centred map W_c = W (I - 11^T/n) + 11^T/n, and a
+band's estimate is W_c y (= W (y - mean(y)) + mean(y)). The rows of W_c sum
+to 1, so constants are reproduced to rounding. The unit of work is a
+distinct band mask: its bands share one kernel, one `SpectralSmoother` (the
+eigendecomposition K_oo = U diag(e) U^T and B = K_ao U), one W_c per ridge
+and one `kernel_regress` call (each band's pilots are one column). Both
 are cached per process: the smoother keyed on the band mask, `CntkConfig`
-and `PriorWeights` (KERNEL_CACHE_SIZE entries, `_mask_smoother`), and W =
-B diag(1/(e + ridge)) U^T keyed on those and the ridge (MAP_CACHE_SIZE
-entries, `_mask_map`, W and the pilot indices, never a kernel). The
-estimator looks up W; only a miss there asks for the smoother. So a
-receiver with a fixed pilot layout builds its kernel and eigendecomposes
-K_oo once, forms W once per ridge (the jitter DEFAULT_RIDGE_REL by default,
-or `auto_ridge(snr_db)`), and each call only applies W to the pilots.
-`kernel_s` and `solve_s` in the diagnostics are a group's time to get its
-W (formed or a cache hit) and to apply it.
+and `PriorWeights` (KERNEL_CACHE_SIZE entries, `_mask_smoother`), and W_c,
+formed from W = B diag(1/(e + ridge)) U^T, keyed on those and the ridge
+(MAP_CACHE_SIZE entries, `_mask_map`, W_c and the pilot indices, never a
+kernel). The estimator looks up W_c; only a miss there asks for the
+smoother. So a receiver with a fixed pilot layout builds its kernel and
+eigendecomposes K_oo once, forms W_c once per ridge (the jitter
+DEFAULT_RIDGE_REL by default, or `auto_ridge(snr_db)`), and each call only
+applies W_c to the pilots. `kernel_s` and `solve_s` in the diagnostics are
+a group's time to get its W_c (formed or a cache hit) and to apply it.
 A singular or slightly indefinite K_oo needs no retry: when its smallest
 eigenvalue plus the ridge falls below EIG_FLOOR_REL * trace(K_oo)/|obs|,
 the ridge is raised to lift that eigenvalue to the floor, and the ridge
-used is reported. Centering on the band's pilot mean reproduces constants
-exactly. With ridge = 0 the estimator runs in strict interpolation mode and
-observed cells keep their observed values verbatim; with ridge > 0 the
-ridge deliberately smooths observed cells too.
+used is reported. With ridge = 0 the estimator runs in strict
+interpolation mode and observed cells keep their observed values
+verbatim; with ridge > 0 the ridge deliberately smooths observed cells too.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -68,17 +70,18 @@ EIG_FLOOR_REL = 1e-10
 #: differ cost +9.5% of peak RSS.
 KERNEL_CACHE_SIZE = 4
 
-#: Smoother matrices W kept across calls, one per (band mask, ridge). A fixed
+#: Centred maps W_c kept across calls, one per (band mask, ridge). A fixed
 #: pilot layout at the 4 SNR levels of an auto-ridge receiver (`slot-fixed`)
-#: uses 4 ridges, which must all stay resident. An entry holds W and its
-#: pilot indices, never a kernel: W is 168 x 24 floats, about 32 KB, for a
+#: uses 4 ridges, which must all stay resident. An entry holds W_c and its
+#: pilot indices, never a kernel: W_c is 168 x 24 floats, about 32 KB, for a
 #: dense 12 x 14 band.
 MAP_CACHE_SIZE = 4
 
 
 def _is_ridge(ridge) -> bool:
-    """The solver's ridge rule: a real number >= 0 (so not NaN, not a string)."""
-    return isinstance(ridge, numbers.Real) and ridge >= 0
+    """The solver's ridge rule: a finite real number >= 0 (so not NaN, not
+    infinite, not a string)."""
+    return isinstance(ridge, numbers.Real) and 0 <= ridge < math.inf
 
 
 @dataclass(frozen=True)
@@ -105,10 +108,10 @@ class SpectralSmoother:
         lam is `ridge` unless e_min + ridge falls below `floor`; then lam =
         floor - e_min, so a singular or indefinite K_oo still gives a finite
         estimate. The condition number is (e_max + lam) / (e_min + lam).
-        Raises ValueError unless `ridge` is a non-negative number.
+        Raises ValueError unless `ridge` is a finite non-negative number.
         """
         if not _is_ridge(ridge):
-            raise ValueError("ridge must be a non-negative number")
+            raise ValueError("ridge must be a non-negative number (finite, not NaN)")
         e = self.e
         lam = float(max(ridge, self.floor - e[0]))
         return lam, float((e[-1] + lam) / (e[0] + lam))
@@ -147,13 +150,13 @@ def spectral_smoother(kernel: CoordinateKernel, obs: np.ndarray) -> SpectralSmoo
 class BlockDiagnostics(NamedTuple):
     """Per-block solver health: row band, ridge used, condition number, stage times.
 
-    `kernel_s` is the time spent getting the band's W: on a hit one lookup;
-    on a miss forming W from the band's `SpectralSmoother`, after building it
-    (the kernel, the eigendecomposition of K_oo and B = K_ao U) if that
-    missed too. `solve_s` is the
-    time `kernel_regress` takes to apply W. The bands of one mask group
-    share its ridge, condition, `kernel_s` and `solve_s`. An immutable
-    named tuple, so a slot's 30 entries cost no per-field `__init__`."""
+    `kernel_s` is the time spent getting the band's centred map W_c: on a
+    hit one lookup; on a miss forming W_c from the band's `SpectralSmoother`,
+    after building it (the kernel, the eigendecomposition of K_oo and
+    B = K_ao U) if that missed too. `solve_s` is the time `kernel_regress`
+    takes to apply W_c. The bands of one mask group share its ridge,
+    condition, `kernel_s` and `solve_s`. An immutable named tuple, so a
+    slot's 30 entries cost no per-field `__init__`."""
 
     block_index: int
     ridge: float
@@ -174,7 +177,7 @@ class ImputedChannel:
 
 
 def kernel_regress(W: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Hhat = W y over all P pixels, for a smoother matrix W from `SpectralSmoother.matrix`.
+    """Hhat = W y over all P pixels, for a (P, n) map W such as `SpectralSmoother.matrix`'s.
 
     `values` y is (n,) or (n, B) for W of shape (P, n), rows aligned with
     the smoother's `obs`, and Hhat is (P,) or (P, B).
@@ -207,20 +210,23 @@ def auto_ridge(snr_db: float) -> float:
     return max(10.0 ** (-snr_db / 10.0), DEFAULT_RIDGE_REL)
 
 
-def _band_masks(sparse: SparseChannelEstimate) -> np.ndarray:
-    """The slot's pilot mask cut into its (bands, 12, N) resource-block masks.
+def _band_masks(sparse: SparseChannelEstimate) -> tuple[np.ndarray, bool]:
+    """The slot's pilot mask cut into its (bands, 12, N) resource-block masks,
+    and whether every band has band 0's mask (a fixed pilot layout).
 
     Raises ValueError when the row count is not a multiple of
-    SUBCARRIERS_PER_RB or a band holds no pilot.
+    SUBCARRIERS_PER_RB or a band holds no pilot. The bands are compared
+    first, so on a fixed layout the pilot check reads band 0 only.
     """
     M, N = sparse.shape
     if M % SUBCARRIERS_PER_RB != 0:
         raise ValueError(f"row count {M} is not divisible by {SUBCARRIERS_PER_RB}")
     masks = sparse.mask.reshape(-1, SUBCARRIERS_PER_RB, N)
-    empty = np.flatnonzero(~masks.any(axis=(1, 2)))
-    if empty.size:
-        raise ValueError(f"block {empty[0]} contains no pilots")
-    return masks
+    uniform = bool((masks == masks[0]).all())
+    has_pilots = (masks[:1] if uniform else masks).any(axis=(1, 2))
+    if not has_pilots.all():
+        raise ValueError(f"block {np.argmin(has_pilots)} contains no pilots")
+    return masks, uniform
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -241,16 +247,22 @@ def _mask_smoother(shape: tuple[int, int], mask_bytes: bytes,
 @functools.lru_cache(maxsize=MAP_CACHE_SIZE)
 def _mask_map(shape: tuple[int, int], mask_bytes: bytes, cfg: CntkConfig,
               weights: PriorWeights, ridge: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(W, obs, lam, condition) of a band mask at a requested ridge; cached.
+    """(W_c, obs, lam, condition) of a band mask at a requested ridge; cached.
 
-    W and lam come from `SpectralSmoother.matrix` of the band's cached
-    smoother; the entry holds W and the observed pixels, never the kernel,
-    so a hit touches neither the smoother cache nor a kernel. A ridge the
-    smoother rejects raises and is never stored.
+    W_c = W (I - 11^T/n) + 11^T/n (each row of W less its mean, plus 1/n)
+    is the band's whole estimator, the GP posterior mean with a constant
+    mean: a band's estimate is W_c y = W (y - mean(y)) + mean(y). Its rows
+    sum to 1, so it reproduces constants to rounding. W, lam and the
+    condition come from `SpectralSmoother.matrix` of the band's cached
+    smoother. The entry holds the read-only (P, n) W_c and the observed
+    pixels, never the kernel, so a hit touches neither the smoother cache
+    nor a kernel. A ridge the smoother rejects raises and is never stored.
     """
     smoother = _mask_smoother(shape, mask_bytes, cfg, weights)
     W, lam, cond = smoother.matrix(ridge)
-    return W, smoother.obs, lam, cond
+    W_c = W - W.mean(axis=1, keepdims=True) + 1.0 / W.shape[1]
+    W_c.setflags(write=False)
+    return W_c, smoother.obs, lam, cond
 
 
 def estimation_smoother(sparse: SparseChannelEstimate, band: int,
@@ -264,7 +276,7 @@ def estimation_smoother(sparse: SparseChannelEstimate, band: int,
     (read-only, so callers share them). Its `kernel` is the unit-diagonal
     kernel of the band.
     """
-    masks = _band_masks(sparse)
+    masks = _band_masks(sparse)[0]
     if not 0 <= band < len(masks):
         raise ValueError(f"block index {band} out of range [0, {len(masks)})")
     return _mask_smoother(masks.shape[1:], masks[band].tobytes(), cfg, weights)
@@ -276,47 +288,38 @@ def estimate_channel_cntk(sparse: SparseChannelEstimate,
                           weights: PriorWeights = PriorWeights()) -> ImputedChannel:
     """Impute the full channel from a sparse pilot estimate, one band mask at a time.
 
-    ridge (against the unit-diagonal normalized kernel) is a non-negative number:
+    ridge (against the unit-diagonal normalized kernel) is a finite non-negative number:
       DEFAULT_RIDGE_REL (the default) -> near-interpolating jitter,
       0.0   -> strict interpolation; observed cells keep observed values,
       > 0   -> ridge smoothing of all cells; see `auto_ridge` for the
                noise-matched choice when the operating SNR is known.
     """
-    masks = _band_masks(sparse)
+    masks, uniform = _band_masks(sparse)
     bands, shape = len(masks), masks.shape[1:]
-    flat_masks = masks.reshape(bands, -1)
-    if (flat_masks == flat_masks[0]).all():
-        # a fixed layout: one compare replaces the per-band grouping, and the
-        # gather and the write need no band index (a sixth of a slot-fixed slot)
-        groups = {flat_masks[0].tobytes(): None}  # None: every band
+    if uniform:
+        groups = {masks[0].tobytes(): range(bands)}
     else:
         groups = {}  # mask bytes -> bands with that mask; np.unique(axis=0) costs ~1 ms
-        for bi, band_mask in enumerate(flat_masks):
+        for bi, band_mask in enumerate(masks):
             groups.setdefault(band_mask.tobytes(), []).append(bi)
     values = sparse.values.reshape(bands, -1)
-    out = np.empty(values.shape, np.complex128) if len(groups) > 1 else None
-    group_of = np.zeros(bands, np.intp)
-    stats = []  # (ridge, condition, solve_s, kernel_s) per group
-    for g, (key, members) in enumerate(groups.items()):
+    out = None if uniform else np.empty(values.shape, np.complex128)
+    diags = [None] * bands
+    for key, members in groups.items():
         t0 = time.perf_counter()
-        W, obs, lam_used, cond = _mask_map(shape, key, cfg, weights, ridge)
+        W_c, obs, lam_used, cond = _mask_map(shape, key, cfg, weights, ridge)
         kernel_s = time.perf_counter() - t0
-        # gather in C order, so each band mean sums as if its band were alone
-        # (values[:, obs] is F-ordered)
-        vals = np.take(values, obs, axis=1) if members is None else values[np.ix_(members, obs)]
-        mean = vals.mean(axis=1, keepdims=True)
+        # a fixed layout gathers and writes with no band index
+        vals = np.take(values, obs, axis=1) if uniform else values[np.ix_(members, obs)]
         t0 = time.perf_counter()
-        est = kernel_regress(W, (vals - mean).T).T  # (bands, P), a fresh array
+        est = kernel_regress(W_c, vals.T).T  # (bands, P), a fresh array
         solve_s = time.perf_counter() - t0
-        est += mean
         if ridge == 0:
             est[:, obs] = vals
-        if members is None:
+        if uniform:
             out = est
         else:
             out[members] = est
-            group_of[members] = g
-        stats.append((lam_used, cond, solve_s, kernel_s))
-    columns = np.array(stats)[group_of].T.tolist()
-    diags = tuple(map(BlockDiagnostics, range(bands), *columns))
-    return ImputedChannel(out.reshape(sparse.shape), diags)
+        for bi in members:
+            diags[bi] = BlockDiagnostics(bi, lam_used, cond, solve_s, kernel_s)
+    return ImputedChannel(out.reshape(sparse.shape), tuple(diags))

@@ -182,6 +182,15 @@ class TestEstimate:
         assert err.startswith("error:") and "ridge must be a non-negative number" in err
         assert not est.exists()
 
+    def test_infinite_lambda_rejected(self, dataset, tmp_path, capsys):
+        # an infinite ridge once exited 0 and printed `worst condition nan`
+        est = tmp_path / "est.bin"
+        assert cli.main(["estimate", "--dataset", str(dataset), "--method", "cntk",
+                         "--lambda", "inf", "--out", str(est)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ridge must be a non-negative number" in err
+        assert not est.exists()
+
     def test_baseline_methods(self, dataset, tmp_path, capsys):
         for method in ("nearest", "knn", "linear"):
             code = cli.main(["estimate", "--dataset", str(dataset),

@@ -132,7 +132,7 @@ class TestRunSweep:
             run_sweep([], [10.0], ["dense"], 1, seed=1)
 
     @pytest.mark.parametrize("methods", [["linear"], ["linear", "cntk"]])
-    @pytest.mark.parametrize("ridge", ["Auto", None, float("nan"), -1.0])
+    @pytest.mark.parametrize("ridge", ["Auto", None, float("nan"), -1.0, math.inf])
     def test_bad_cntk_ridge_rejected_before_simulating(self, monkeypatch, methods, ridge):
         # the ridge is checked on entry, whether or not cntk runs, so a typo
         # fails at once and not after the sweep's simulations

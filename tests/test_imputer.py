@@ -1,5 +1,6 @@
 """Tests for kernel ridge regression and the blockwise imputation pipeline."""
 
+import math
 import os
 import subprocess
 import sys
@@ -174,7 +175,7 @@ class TestKernelRegress:
         with pytest.raises(ValueError):
             spectral_smoother(K, np.array([], dtype=np.int64))
         sm = spectral_smoother(K, np.array([0, 1]))
-        for ridge in (-1.0, np.nan, None, "auto"):
+        for ridge in (-1.0, np.nan, None, "auto", math.inf):
             with pytest.raises(ValueError, match="ridge must be a non-negative number"):
                 sm.matrix(ridge)
         W = sm.matrix(0.0)[0]
@@ -238,6 +239,18 @@ class TestEstimateChannel:
         sp = SparseChannelEstimate(np.where(pat.mask, 1 + 0j, 0), pat.mask)
         with pytest.raises(ValueError, match="ridge must be a non-negative number"):
             estimate_channel_cntk(sp, ridge=float("nan"))
+
+    def test_infinite_ridge_rejected(self):
+        # an infinite ridge once passed as `ridge >= 0` and reported a NaN
+        # condition number; the noiseless auto ridge is still the jitter
+        pat = preset_pattern("dense", 24, 14)
+        sp = SparseChannelEstimate(np.where(pat.mask, 1 + 0j, 0), pat.mask)
+        for ridge in (math.inf, np.float64(np.inf)):
+            with pytest.raises(ValueError, match="ridge must be a non-negative number"):
+                estimate_channel_cntk(sp, ridge=ridge)
+        assert auto_ridge(math.inf) == imputer.DEFAULT_RIDGE_REL
+        assert math.isfinite(estimate_channel_cntk(sp, ridge=auto_ridge(math.inf))
+                             .diagnostics[0].condition)
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
@@ -498,6 +511,52 @@ class TestSmootherMatrix:
                     got = imp.h_hat[12 * band:12 * band + 12].reshape(-1)
                     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @staticmethod
+    def _centred_map(mask, ridge):
+        """(W_c, obs, lam, condition) of a 12 x 14 band mask from the estimator's map cache."""
+        return imputer._mask_map(mask.shape, mask.tobytes(), CntkConfig(), PriorWeights(), ridge)
+
+    def test_centred_map_equals_fresh_solve(self):
+        # the cached map is W (I - 11^T/n) + 11^T/n, with W from a fresh LU
+        # solve; each of its rows sums to 1 and it is read-only
+        for mask in self._masks():
+            sm = estimation_smoother(SparseChannelEstimate(np.where(mask, 1 + 0j, 0), mask), 0)
+            gram, obs = sm.kernel.gram, sm.obs
+            n = obs.size
+            k_oo = gram[np.ix_(obs, obs)]
+            for ridge in self.RIDGES:
+                W_c, map_obs, lam, cond = self._centred_map(mask, ridge)
+                assert np.array_equal(map_obs, obs)
+                assert (lam, cond) == sm.regularize(ridge)
+                W = np.linalg.solve(k_oo + lam * np.eye(n), gram[obs]).T
+                ref = W @ (np.eye(n) - 1.0 / n) + 1.0 / n
+                assert W_c.shape == (gram.shape[0], n)
+                assert np.abs(W_c - ref).max() <= 1e-12 * np.abs(ref).max()
+                assert np.abs(W_c.sum(axis=1) - 1.0).max() <= 1e-12
+                assert not W_c.flags.writeable
+
+    def test_estimate_is_centred_map_times_pilots(self):
+        # each band's estimate is W_c y_b of its own mask's centred map, on a
+        # slot whose bands share one mask and on one with two masks; the
+        # pilots are kept at ridge 0
+        rng = np.random.default_rng(25)
+        dense = preset_pattern("dense", 12, 14).mask
+        for mask in self._masks():
+            for slot_mask in (np.vstack([mask, mask]), np.vstack([mask, dense, mask])):
+                sp = SparseChannelEstimate(_random_pilots(rng, slot_mask), slot_mask)
+                for ridge in self.RIDGES:
+                    imp = estimate_channel_cntk(sp, ridge=ridge)
+                    for band, rows in enumerate(range(0, slot_mask.shape[0], 12)):
+                        W_c, obs, lam, cond = self._centred_map(slot_mask[rows:rows + 12], ridge)
+                        assert (imp.diagnostics[band].ridge, imp.diagnostics[band].condition) \
+                            == (lam, cond)
+                        y = sp.values[rows:rows + 12].reshape(-1)[obs]
+                        ref = W_c @ y
+                        if ridge == 0:
+                            ref[obs] = y
+                        got = imp.h_hat[rows:rows + 12].reshape(-1)
+                        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_matrix_is_read_only(self):
         pat = preset_pattern("dense", 12, 14)
         sm = estimation_smoother(SparseChannelEstimate(np.where(pat.mask, 1 + 0j, 0), pat.mask), 0)
@@ -602,6 +661,45 @@ def test_condition_matches_svd_oracle(ridge):
             k_oo = estimation_smoother(sp, band).kernel.gram[np.ix_(obs, obs)]
             oracle = np.linalg.cond(k_oo + d.ridge * np.eye(obs.size))
             assert abs(d.condition - oracle) <= 1e-10 * oracle
+
+
+_THREAD_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from channel_cntk import SparseChannelEstimate, auto_ridge, estimate_channel_cntk, preset_pattern
+rng = np.random.default_rng(26)
+dense = preset_pattern("dense", 360, 14).mask
+erased = dense.copy()
+for band in erased.reshape(-1, 12, 14):
+    idx = np.flatnonzero(band)
+    band.reshape(-1)[rng.choice(idx, size=idx.size // 2, replace=False)] = False
+assert len({b.tobytes() for b in erased.reshape(-1, 12, 14)}) == 30
+digest = hashlib.sha256()
+for mask in (dense, erased):
+    values = np.where(mask, rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape), 0)
+    sp = SparseChannelEstimate(values, mask)
+    for snr in (0.0, 10.0, 20.0, 30.0):
+        imp = estimate_channel_cntk(sp, ridge=auto_ridge(snr))
+        digest.update(imp.h_hat.tobytes())
+        digest.update(repr([(d.ridge, d.condition) for d in imp.diagnostics]).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_estimates_identical_across_blas_threads():
+    # a dense 360 x 14 slot and one whose 30 bands all have their own erased
+    # mask, at the 4 auto ridges: the same SHA-256 of every estimate, ridge
+    # and condition at 1 and at 2 OpenBLAS threads
+    src = str(Path(imputer.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        res = subprocess.run([sys.executable, "-c", _THREAD_DIGEST_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        digests.append(res.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_package_import_loads_no_scipy():
